@@ -18,8 +18,10 @@ is tested against.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .commpoly import CommPoly
 from .errors import LndError, UsageError
@@ -138,24 +140,20 @@ def commutative_invariant_images(system: LndSystem, generators: list[Element]) -
 # -- brute-force graded kernel ------------------------------------------------
 
 
-def _degree_basis(one: Element, degree: int) -> list[Element]:
+def _degree_basis(one: Element, degree: int) -> tuple[list, Callable[[dict], Element]]:
+    """Monomial keys of the degree component, in basis order, and a
+    constructor from a {key: coefficient} map to a carrier element."""
     if isinstance(one, CommPoly):
         if one.laurent_mask:
             raise UsageError("kernel oracle needs a plain polynomial carrier")
-        return [
-            CommPoly.monomial(one.num_vars, alpha)
-            for alpha in iter_layer(one.num_vars, degree)
-        ]
+        return list(iter_layer(one.num_vars, degree)), partial(CommPoly, one.num_vars)
     if isinstance(one, WeylElement):
-        return [
-            WeylElement.monomial(one.signature, alpha)
-            for alpha in iter_layer(one.signature.s, degree)
-        ]
+        return list(iter_layer(one.signature.s, degree)), partial(WeylElement, one.signature)
     k = one.num_gens
     words: list[tuple[int, ...]] = [()]
     for _ in range(degree):
         words = [w + (g,) for w in words for g in range(k)]
-    return [FreeElement.word(k, w) for w in words]
+    return words, partial(FreeElement, k)
 
 
 def _coordinates(values: list[Element]) -> tuple[list[dict], list]:
@@ -171,7 +169,8 @@ def graded_kernel_oracle(system: LndSystem, degree: int) -> list[Element]:
     one degree lower (zero images are fine)."""
     if degree < 0:
         raise UsageError("degree must be non-negative")
-    basis = _degree_basis(system._one, degree)
+    monomials, make = _degree_basis(system._one, degree)
+    basis = [make({key: 1}) for key in monomials]
     images = [[system.derive(i, b) for b in basis] for i in range(system.s)]
     for per_deriv in images:
         for img in per_deriv:
@@ -193,16 +192,7 @@ def graded_kernel_oracle(system: LndSystem, degree: int) -> list[Element]:
                 block[index[k]][col] = c
         rows.extend(block)
     vectors = nullspace(rows, len(basis))
-    out = []
-    for vec in vectors:
-        total = None
-        for c, b in zip(vec, basis):
-            if c:
-                piece = b * c
-                total = piece if total is None else total + piece
-        if total is not None:
-            out.append(total)
-    return out
+    return [make({key: c for key, c in zip(monomials, vec) if c}) for vec in vectors]
 
 
 def subalgebra_graded_dimension(values: list[Element], degree: int) -> int:
@@ -218,8 +208,10 @@ def subalgebra_graded_dimension(values: list[Element], degree: int) -> int:
         positive.append((v, degs.pop()))
     if degree == 0:
         return 1
+    if not positive:
+        return 0
     bucket: list[Element] = []
-    frontier: list[tuple[Element, int]] = [(like_one(values[0]), 0)]
+    frontier: list[tuple[Element, int]] = [(like_one(positive[0][0]), 0)]
     while frontier:
         nxt = []
         for p, d in frontier:

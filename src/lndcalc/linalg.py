@@ -1,7 +1,11 @@
-"""Tiny exact linear algebra over the rationals (dense lists of Fraction).
+"""Tiny exact linear algebra over the rationals.
 
 Just enough for the brute-force kernel oracle and rank computations: reduced
-row echelon form, rank, and a canonical nullspace basis.
+row echelon form, rank, and a canonical nullspace basis.  Callers pass and
+receive dense lists; elimination itself runs on sparse rows ({column:
+Fraction}, zeros never stored), since the kernel oracle's matrices are a few
+percent nonzero.  The reduced row echelon form is unique, so the results do
+not depend on the elimination order.
 """
 
 from __future__ import annotations
@@ -9,55 +13,81 @@ from __future__ import annotations
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
+SparseRow = dict[int, Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _reduce(rows: Matrix) -> dict[int, SparseRow]:
+    """Pivot column -> reduced pivot row, in ascending pivot order.
+
+    Forward pass: each incoming row is reduced against the pivot rows found
+    so far until its leading column is a new pivot, then scaled to a leading
+    1.  Back substitution in descending pivot order then clears every pivot
+    column above its pivot."""
+    echelon: dict[int, SparseRow] = {}
+    for row in rows:
+        vec = {c: v for c, v in enumerate(row) if v}
+        while vec:
+            lead = min(vec)
+            pivot_row = echelon.get(lead)
+            if pivot_row is None:
+                inv = _ONE / vec[lead]
+                echelon[lead] = {c: v * inv for c, v in vec.items()}
+                break
+            f = vec[lead]
+            for c, v in pivot_row.items():
+                new = vec.get(c, 0) - f * v
+                if new:
+                    vec[c] = new
+                else:
+                    del vec[c]
+    pivots = sorted(echelon)
+    for p in reversed(pivots):
+        row = echelon[p]
+        for q in [c for c in row if c != p and c in echelon]:
+            f = row[q]
+            for c, v in echelon[q].items():
+                new = row.get(c, 0) - f * v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+    return {p: echelon[p] for p in pivots}
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) and the pivot column list."""
-    mat = [list(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r] + mat[r:], pivots
+    """Reduced row echelon form (copy, zero rows last) and the pivot column
+    list."""
+    ncols = len(rows[0]) if rows else 0
+    reduced = _reduce(rows)
+    mat = [[row.get(c, _ZERO) for c in range(ncols)] for row in reduced.values()]
+    mat.extend([_ZERO] * ncols for _ in range(len(rows) - len(mat)))
+    return mat, list(reduced)
 
 
 def rank(rows: Matrix) -> int:
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    return len(_reduce(rows))
 
 
 def nullspace(rows: Matrix, ncols: int) -> Matrix:
     """Canonical basis of {v : M v = 0}, one vector per free column, each
     with a leading 1 at its free column and zeros at the other free columns."""
-    if not rows:
-        return [
-            [Fraction(1) if j == c else Fraction(0) for j in range(ncols)]
-            for c in range(ncols)
-        ]
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    reduced = _reduce(rows)
+    # free column -> [(pivot column, -entry)] over the pivot rows using it
+    uses: dict[int, list[tuple[int, Fraction]]] = {}
+    for p, row in reduced.items():
+        for c, v in row.items():
+            if c != p:
+                uses.setdefault(c, []).append((p, -v))
     basis: Matrix = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
+    for fc in range(ncols):
+        if fc in reduced:
+            continue
+        vec = [_ZERO] * ncols
+        vec[fc] = _ONE
+        for p, v in uses.get(fc, ()):
+            vec[p] = v
         basis.append(vec)
     return basis

@@ -151,8 +151,9 @@ class LndSystem:
     """Commuting locally nilpotent derivations with slices.
 
     Construction validates, on a finite probe set (carrier generators, the
-    slices, and pairwise slice products): d_i(t_j) = delta_ij, pairwise
-    commutation, and local nilpotence under ``nilpotence_cap``.
+    slices, and pairwise slice products): d_i(t_j) = delta_ij, d_i(x_v) = 0
+    for every Laurent (invertible) variable x_v, pairwise commutation, and
+    local nilpotence under ``nilpotence_cap``.
     """
 
     __slots__ = ("derivations", "slices", "nilpotence_cap", "_one", "_zero")
@@ -207,6 +208,18 @@ class LndSystem:
                         f"derivation {i + 1} applied to slice {j + 1} gives {got}, "
                         f"expected {expect}"
                     )
+        if isinstance(one, CommPoly):
+            # In a domain every locally nilpotent derivation kills the units
+            # (van den Essen 2000), so each Laurent variable must be a
+            # constant of every d_i.
+            for v in sorted(one.laurent_mask):
+                unit = CommPoly.variable(one.num_vars, v, one.laurent_mask)
+                for i in range(self.s):
+                    if not self.derive(i, unit).is_zero():
+                        raise LndError(
+                            f"derivation {i + 1} does not kill the unit x{v + 1}; "
+                            "a locally nilpotent derivation kills every unit"
+                        )
         for deriv in self.derivations:
             if isinstance(deriv, CombinationDerivation):
                 for coeff, _ in deriv.parts:

@@ -55,6 +55,12 @@ def test_mul(capsys):
                         "x1^-1*x2^2", "x1"]) == (0, "x2^2\n")
 
 
+def test_project_rejects_a_derivation_moving_a_unit(capsys):
+    code, out = run(capsys, ["project", "--poly", "1", "--laurent", "1", "x1^-1"])
+    assert code == 1
+    assert out.startswith("ERROR domain: derivation 1 does not kill the unit x1")
+
+
 def test_partial(capsys):
     assert run(capsys, ["partial", "--poly", "2", "--i", "1", "x1^2*x2"]) == \
         (0, "2*x1*x2\n")

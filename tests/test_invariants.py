@@ -29,8 +29,10 @@ from lndcalc import (
     weitzenboeck_closed_form,
     weitzenboeck_invariants,
 )
+from lndcalc import invariants
 from lndcalc.invariants import weitzenboeck_system
 from lndcalc.parsing import WeylCarrier
+import oracle_linalg
 
 
 def _f2_system():
@@ -151,6 +153,53 @@ def test_oracle_output_is_in_the_kernel_and_independent():
         assert subalgebra_graded_dimension(basis, degree) == len(basis)
 
 
+def _kernel_text(system, degree):
+    return "\n".join(str(b) for b in graded_kernel_oracle(system, degree))
+
+
+@pytest.mark.parametrize("one, degrees", [
+    (FreeElement.one(2), range(8)),
+    (FreeElement.one(3), range(5)),
+    (CommPoly.constant(3, 1), range(5)),
+    (WeylElement.one(WeylSignature(1, 1)), range(5)),
+    (WeylElement.one(WeylSignature(2, 0)), [3]),
+], ids=["F2", "F3", "P3", "A11", "A20"])
+def test_oracle_text_matches_the_dense_elimination(monkeypatch, one, degrees):
+    system = standard_system(one)
+    sparse = {d: _kernel_text(system, d) for d in degrees}
+    vectors = []
+
+    def dense_nullspace(rows, ncols):
+        found = oracle_linalg.nullspace(rows, ncols)
+        vectors.append(found)
+        return found
+
+    monkeypatch.setattr(invariants, "nullspace", dense_nullspace)
+    for d in degrees:
+        assert _kernel_text(system, d) == sparse[d]
+        # each basis element is the coordinate vector summed over the
+        # monomial basis by carrier arithmetic
+        monomials, make = invariants._degree_basis(system._one, d)
+        summed = []
+        for vec in vectors[-1]:
+            total = make({})
+            for c, key in zip(vec, monomials):
+                total = total + make({key: 1}) * c
+            summed.append(str(total))
+        assert "\n".join(summed) == sparse[d]
+
+
+@pytest.mark.parametrize("k, degree, count", [(2, 9, 128), (3, 6, 216)])
+def test_oracle_reaches_free_components_of_a_few_hundred_words(k, degree, count):
+    system = standard_system(FreeElement.one(k))
+    basis = graded_kernel_oracle(system, degree)
+    assert len(basis) == count
+    for b in basis:
+        assert all(len(w) == degree for w in b.terms)
+        for i in range(k):
+            assert system.derive(i, b).is_zero()
+
+
 def test_oracle_p2_single_direction():
     system = LndSystem([PartialDerivation(0)], [CommPoly.variable(2, 0)])
     basis = graded_kernel_oracle(system, 2)
@@ -185,6 +234,13 @@ def test_subalgebra_dimensions_match_oracle_where_witnesses_reach():
         assert subalgebra_graded_dimension(w3, d) == kernel_dims[d]
 
 
+def test_subalgebra_dimension_without_positive_degree_values():
+    assert subalgebra_graded_dimension([], 0) == 1
+    for d in (1, 2, 5):
+        assert subalgebra_graded_dimension([], d) == 0
+        assert subalgebra_graded_dimension([FreeElement.one(2)], d) == 0
+
+
 def test_subalgebra_dimension_requires_homogeneous_values():
     with pytest.raises(UsageError):
         subalgebra_graded_dimension([parse_free("x1*x2 + x1", 2)], 2)
@@ -211,6 +267,14 @@ def test_weitzenboeck_system_has_a_unit_slice():
     slice_ = system.slices[0]
     assert str(slice_) == "x2*x1^-1"
     assert system.derive(0, slice_) == CommPoly.constant(4, 1, slice_.laurent_mask)
+
+
+def test_weitzenboeck_system_passes_the_unit_check():
+    # d = x1 d2 + x2 d3 + ... kills the unit x1, so validation accepts it
+    for n in (2, 3, 5):
+        system = weitzenboeck_system(n)
+        unit = CommPoly.variable(n, 0, frozenset({0}))
+        assert system.derive(0, unit).is_zero()
 
 
 def test_weitzenboeck_phi_of_x2_vanishes():

@@ -1,9 +1,11 @@
-"""Exact rational row reduction, rank, and nullspace."""
+"""Exact rational row reduction, rank, and nullspace, checked against the
+dense Gauss-Jordan oracle in ``oracle_linalg``."""
 
 from fractions import Fraction
 from random import Random
 
 from lndcalc.linalg import nullspace, rank, rref
+import oracle_linalg
 
 
 def _mat(rows):
@@ -65,3 +67,57 @@ def test_exactness_with_fractions():
     assert len(basis) == 1
     vec = basis[0]
     assert Fraction(1, 3) * vec[0] + Fraction(1, 6) * vec[1] == 0
+
+
+# -- differential tests against the dense oracle -----------------------------------
+
+
+def _random_rows(rng, nrows, ncols, density, fractions):
+    def entry():
+        if rng.random() >= density:
+            return 0 if rng.random() < 0.5 else Fraction(0)
+        if fractions:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        return rng.randint(-4, 4)
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _assert_agrees(rows, ncols):
+    assert rref(rows) == oracle_linalg.rref(rows)
+    assert rank(rows) == oracle_linalg.rank(rows)
+    assert nullspace(rows, ncols) == oracle_linalg.nullspace(rows, ncols)
+
+
+def test_agrees_with_dense_oracle_on_edge_shapes():
+    _assert_agrees([], 0)
+    _assert_agrees([], 3)
+    _assert_agrees([[]], 0)
+    _assert_agrees([[0, 0, 0]], 3)
+    _assert_agrees([[Fraction(0)] * 4 for _ in range(3)], 4)
+    _assert_agrees([[0, 0], [0, 5], [0, 0], [7, 1]], 2)
+    _assert_agrees([[1, 2, 3], [2, 4, 6], [0, 0, 0], [0, 1, 1]], 3)
+
+
+def test_agrees_with_dense_oracle_on_random_matrices():
+    rng = Random(20240601)
+    for trial in range(600):
+        nrows = rng.randint(0, 8)
+        ncols = rng.randint(0, 8)
+        density = (0.0, 0.05, 0.2, 0.5, 1.0)[trial % 5]
+        rows = _random_rows(rng, nrows, ncols, density, fractions=trial % 2 == 1)
+        _assert_agrees(rows, ncols)
+
+
+def test_agrees_with_dense_oracle_on_wide_sparse_matrices():
+    rng = Random(7)
+    for _ in range(12):
+        nrows, ncols = rng.randint(10, 30), rng.randint(20, 60)
+        rows = _random_rows(rng, nrows, ncols, rng.choice((0.03, 0.1)), fractions=False)
+        _assert_agrees(rows, ncols)
+
+
+def test_nullspace_pivot_is_exact_on_int_entries():
+    # a float reciprocal of the pivot would give -0.333... here
+    assert nullspace([[3, 1]], 2) == [[Fraction(-1, 3), Fraction(1)]]
+    assert all(type(v) is Fraction for v in nullspace([[3, 1]], 2)[0])

@@ -80,6 +80,21 @@ def test_system_validation_rejects_bad_slices():
         )
 
 
+def test_system_validation_rejects_derivations_moving_a_unit():
+    mask = frozenset({0})
+    with pytest.raises(LndError, match="derivation 1 does not kill the unit x1"):
+        LndSystem([PartialDerivation(0)], [CommPoly.variable(1, 0, mask)])
+    # the unit is the second variable; the first direction is fine
+    with pytest.raises(LndError, match="derivation 2 does not kill the unit x2"):
+        LndSystem(
+            [PartialDerivation(0), PartialDerivation(1)],
+            [CommPoly.variable(2, 0, frozenset({1})), CommPoly.variable(2, 1, frozenset({1}))],
+        )
+    # derivations that kill every unit still validate
+    system = LndSystem([PartialDerivation(1)], [CommPoly.variable(2, 1, mask)])
+    assert system.derive(0, CommPoly.variable(2, 0, mask)).is_zero()
+
+
 def test_order_examples():
     sys_p2 = standard_system(CommPoly.constant(2, 1))
     assert sys_p2.order(parse_comm("5", 2)) == 0
