@@ -511,8 +511,14 @@ class DiffOpSeries:
         return f"DiffOpSeries({self.signature}, order {self.max_order}, {len(self.coeffs)} terms)"
 
 
+def _check_order(max_order: int) -> None:
+    if max_order < 0:
+        raise UsageError(f"max order {max_order} is negative")
+
+
 def aut_to_series(aut: Automorphism, max_order: int) -> DiffOpSeries:
     """s = sum_alpha (s(x) - x)^alpha / alpha! * d^alpha, truncated."""
+    _check_order(max_order)
     sig = aut.signature
     if sig.n != 0:
         raise UsageError("series form needs a polynomial signature (n = 0)")
@@ -554,6 +560,7 @@ LinearMapTable = dict[MultiIndex, WeylElement]
 
 def linear_map_table(aut: Automorphism, max_order: int) -> LinearMapTable:
     """Tabulate a on all basis monomials x^alpha with |alpha| <= max_order."""
+    _check_order(max_order)
     sig = aut.signature
     return {
         alpha: aut.apply(WeylElement.monomial(sig, alpha))
@@ -581,6 +588,7 @@ def map_to_series(
 
         f(x^alpha) = alpha! a_alpha + sum_{|beta| < |alpha|} a_beta d^beta(x^alpha).
     """
+    _check_order(max_order)
     table = {tuple(k): v for k, v in table.items()}
     solved: dict[MultiIndex, WeylElement] = {}
     for alpha in iter_upto(signature.s, max_order):

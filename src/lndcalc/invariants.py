@@ -77,6 +77,8 @@ def enumerate_generators(
 ) -> list[GeneratorWitness]:
     """All witnesses up to the word and value-degree bounds, deduplicated by
     value (distinct words frequently act identically), zeros dropped."""
+    if word_bound < 0 or degree_bound < 0:
+        raise UsageError("word and degree bounds must be non-negative")
     s = system.s
     witnesses: list[GeneratorWitness] = []
     seen: set[Element] = set()

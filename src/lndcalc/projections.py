@@ -25,10 +25,10 @@ from fractions import Fraction
 from math import factorial
 
 from .commpoly import CommPoly
-from .errors import CapExceededError, LndError, SignatureMismatchError
+from .errors import CapExceededError, LndError, SignatureMismatchError, UsageError
 from .freealg import FreeElement
 from .multiindex import MultiIndex, graded_lex_key, multi_factorial
-from .weyl import WeylElement
+from .weyl import WeylElement, ad
 
 Element = CommPoly | WeylElement | FreeElement
 
@@ -85,7 +85,8 @@ class PartialDerivation:
 
 
 class InnerDerivation:
-    """ad(u): a -> u*a - a*u for a fixed carrier element u."""
+    """ad(u): a -> u*a - a*u for a fixed carrier element u (one-pass
+    ``weyl.ad`` on Weyl elements)."""
 
     __slots__ = ("element",)
 
@@ -93,6 +94,8 @@ class InnerDerivation:
         self.element = element
 
     def apply(self, a: Element) -> Element:
+        if isinstance(a, WeylElement):
+            return ad(self.element, a)
         return self.element * a - a * self.element
 
     def __repr__(self) -> str:
@@ -150,10 +153,15 @@ def _central_enough(coeff, probe: Element) -> bool:
 class LndSystem:
     """Commuting locally nilpotent derivations with slices.
 
-    Construction validates, on a finite probe set (carrier generators, the
-    slices, and pairwise slice products): d_i(t_j) = delta_ij, d_i(x_v) = 0
-    for every Laurent (invertible) variable x_v, pairwise commutation, and
-    local nilpotence under ``nilpotence_cap``.
+    Construction validates d_i(t_j) = delta_ij, d_i(x_v) = 0 for every
+    Laurent (invertible) variable x_v, that combination coefficients are
+    central, and then pairwise commutation and local nilpotence under
+    ``nilpotence_cap`` on the carrier generators.  Generators suffice: each
+    [d_i, d_j] is a derivation, so it vanishes iff it vanishes on
+    generators, and by Leibniz d^N(ab) = sum_k C(N,k) d^k(a) d^(N-k)(b)
+    (central coefficients make each d_i a derivation), so nilpotence on
+    generators gives local nilpotence.  A negative ``nilpotence_cap`` is a
+    usage error.
     """
 
     __slots__ = ("derivations", "slices", "nilpotence_cap", "_one", "_zero")
@@ -167,6 +175,8 @@ class LndSystem:
     ):
         if not slices or len(derivations) != len(slices):
             raise LndError("need equally many derivations and slices, at least one")
+        if nilpotence_cap < 0:
+            raise UsageError(f"nilpotence cap {nilpotence_cap} is negative")
         self.derivations = tuple(derivations)
         self.slices = tuple(slices)
         self.nilpotence_cap = nilpotence_cap
@@ -227,10 +237,7 @@ class LndSystem:
                         raise LndError(
                             "combination coefficient is not central in the carrier"
                         )
-        probes = carrier_generators(self._one) + list(self.slices)
-        for a in range(self.s):
-            for b in range(a, self.s):
-                probes.append(self.slices[a] * self.slices[b])
+        probes = carrier_generators(self._one)
         for i in range(self.s):
             for j in range(i + 1, self.s):
                 for p in probes:

@@ -10,6 +10,14 @@ p^a q^b = sum_j j! C(a,j) C(b,j) q^(b-j) p^(a-j), and distinct pairs act
 independently.  (An iterative single-swap rewriter reproducing this is kept
 in the test suite as an oracle.)
 
+The bracket ad(u)(a) = u*a - a*u is formed in one pass: for each pair of
+monomials the zero-swap term of u*a and of a*u is the same key with the same
+coefficient and cancels, so only the terms with at least one swap are
+emitted, and neither product is built.
+
+Arithmetic results are built by a trusted constructor that skips the
+validation the public constructor applies to outside input.
+
 n = 0 degenerates to the commutative polynomial algebra P_m, which is how
 polynomial automorphisms are represented downstream.
 """
@@ -78,6 +86,15 @@ class WeylElement:
     def __setattr__(self, name, value):
         raise AttributeError("WeylElement is immutable")
 
+    @classmethod
+    def _trusted(cls, signature: WeylSignature, terms: dict[MultiIndex, Fraction]) -> WeylElement:
+        """Wrap terms that are already clean: keys are length-s tuples of
+        non-negative ints, values are nonzero Fractions.  Internal use only."""
+        out = object.__new__(cls)
+        _set_signature(out, signature)
+        _set_terms(out, terms)
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -141,18 +158,26 @@ class WeylElement:
         self._check_compatible(other)
         merged = dict(self.terms)
         for exps, c in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + c
-        return WeylElement(self.signature, merged)
+            prev = merged.get(exps)
+            if prev is None:
+                merged[exps] = c
+            elif total := prev + c:
+                merged[exps] = total
+            else:
+                del merged[exps]
+        return WeylElement._trusted(self.signature, merged)
 
     def __sub__(self, other: WeylElement) -> WeylElement:
         return self + (-other)
 
     def __neg__(self) -> WeylElement:
-        return WeylElement(self.signature, {e: -c for e, c in self.terms.items()})
+        return WeylElement._trusted(self.signature, {e: -c for e, c in self.terms.items()})
 
     def scale(self, factor: Scalar) -> WeylElement:
         f = Fraction(factor)
-        return WeylElement(self.signature, {e: c * f for e, c in self.terms.items()})
+        if not f:
+            return WeylElement._trusted(self.signature, {})
+        return WeylElement._trusted(self.signature, {e: c * f for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -198,9 +223,9 @@ class WeylElement:
             e = exps[i]
             if e == 0:
                 continue
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + c * e
-        return WeylElement(self.signature, out)
+            # distinct monomials stay distinct after lowering exponent i
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+        return WeylElement._trusted(self.signature, out)
 
     def partial_via_ad(self, i: int) -> WeylElement:
         """Partial derivative computed from the defining inner derivations."""
@@ -243,6 +268,45 @@ class WeylElement:
         return f"WeylElement({self.signature}, {str(self)!r})"
 
 
+_set_signature = WeylElement.signature.__set__
+_set_terms = WeylElement.terms.__set__
+
+
+def _swap_terms(ea: MultiIndex, eb: MultiIndex, n: int):
+    """(key, factor) for the terms of x^ea * x^eb with at least one swap;
+    the zero-swap term x^(ea+eb) with factor 1 is left to the caller."""
+    swaps = [min(ea[n + i], eb[i]) for i in range(n)]
+    if not any(swaps):
+        return
+    summed = [x + y for x, y in zip(ea, eb)]
+    for k in itertools.product(*(range(v + 1) for v in swaps)):
+        if not any(k):
+            continue
+        factor = 1
+        key = summed.copy()
+        for i, ki in enumerate(k):
+            if ki:
+                factor *= (
+                    math.factorial(ki)
+                    * math.comb(ea[n + i], ki)
+                    * math.comb(eb[i], ki)
+                )
+                key[i] -= ki
+                key[n + i] -= ki
+        yield tuple(key), factor
+
+
+def _capped(sig: WeylSignature, out: dict, cap: int) -> WeylElement:
+    """Drop cancelled terms, enforce the degree cap, wrap the result."""
+    out = {e: c for e, c in out.items() if c}
+    for exps in out:
+        if sum(exps) > cap:
+            raise CapExceededError(
+                f"degree cap {cap} exceeded by a normal form of degree {sum(exps)}"
+            )
+    return WeylElement._trusted(sig, out)
+
+
 def weyl_mul(a: WeylElement, b: WeylElement, degree_cap: int | None = None) -> WeylElement:
     """Normal-ordered product.
 
@@ -250,53 +314,38 @@ def weyl_mul(a: WeylElement, b: WeylElement, degree_cap: int | None = None) -> W
     degree above the cap (default DEGREE_CAP).
     """
     a._check_compatible(b)
-    sig = a.signature
-    n = sig.n
-    cap = DEGREE_CAP if degree_cap is None else degree_cap
+    n = a.signature.n
     out: dict[MultiIndex, Fraction] = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
             base = ca * cb
-            swaps = [min(ea[n + i], eb[i]) for i in range(n)]
-            if not any(swaps):
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + base
-                continue
-            for k in itertools.product(*(range(v + 1) for v in swaps)):
-                factor = base
-                for i, ki in enumerate(k):
-                    if ki:
-                        factor *= (
-                            math.factorial(ki)
-                            * math.comb(ea[n + i], ki)
-                            * math.comb(eb[i], ki)
-                        )
-                key = list(x + y for x, y in zip(ea, eb))
-                for i, ki in enumerate(k):
-                    key[i] -= ki
-                    key[n + i] -= ki
-                key = tuple(key)
-                out[key] = out.get(key, Fraction(0)) + factor
-    out = {e: c for e, c in out.items() if c}
-    for exps in out:
-        if sum(exps) > cap:
-            raise CapExceededError(
-                f"degree cap {cap} exceeded by a normal form of degree {sum(exps)}"
-            )
-    return WeylElement(sig, out)
+            key = tuple(x + y for x, y in zip(ea, eb))
+            c = out.get(key)
+            out[key] = base if c is None else c + base
+            if n:
+                for key, factor in _swap_terms(ea, eb, n):
+                    c = out.get(key)
+                    out[key] = base * factor if c is None else c + base * factor
+    return _capped(a.signature, out, DEGREE_CAP if degree_cap is None else degree_cap)
 
 
 def ad(u: WeylElement, a: WeylElement) -> WeylElement:
-    """The inner derivation ad(u): a -> u*a - a*u."""
-    return weyl_mul(u, a) - weyl_mul(a, u)
+    """The inner derivation ad(u): a -> u*a - a*u, in one pass.
 
-
-def weyl_ad(u: WeylElement, a: WeylElement) -> WeylElement:
-    return ad(u, a)
-
-
-def apply_pd_multi(a: WeylElement, alpha: MultiIndex, divide: bool = False) -> WeylElement:
-    return a.multi_partial(alpha, divide=divide)
+    Only swap terms are formed (the zero-swap terms of u*a and a*u cancel);
+    DEGREE_CAP applies to the bracket itself, not to the two products.
+    """
+    u._check_compatible(a)
+    n = u.signature.n
+    out: dict[MultiIndex, Fraction] = {}
+    for eu, cu in u.terms.items():
+        for ea, ca in a.terms.items():
+            base = cu * ca
+            for left, right, sbase in ((eu, ea, base), (ea, eu, -base)):
+                for key, factor in _swap_terms(left, right, n):
+                    c = out.get(key)
+                    out[key] = sbase * factor if c is None else c + sbase * factor
+    return _capped(u.signature, out, DEGREE_CAP)
 
 
 def central_to_commpoly(a: WeylElement) -> CommPoly:

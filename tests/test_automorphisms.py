@@ -14,6 +14,7 @@ from lndcalc import (
     LndError,
     RelationError,
     SignatureMismatchError,
+    UsageError,
     WeylElement,
     WeylSignature,
     aut_apply,
@@ -424,6 +425,16 @@ def test_map_to_series_examples():
 def test_map_to_series_requires_a_complete_table():
     with pytest.raises(LndError):
         map_to_series(P1, {(0,): WeylElement.one(P1)}, 2)
+
+
+def test_negative_max_order_is_a_usage_error():
+    shift = _aut(P1, "x1 -> x1 + 1")
+    with pytest.raises(UsageError):
+        aut_to_series(shift, -1)
+    with pytest.raises(UsageError):
+        linear_map_table(shift, -1)
+    with pytest.raises(UsageError):
+        map_to_series(P1, {}, -1)
 
 
 def test_map_to_series_matches_aut_to_series():

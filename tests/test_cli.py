@@ -228,3 +228,18 @@ def test_out_flag_writes_the_same_text(capsys, tmp_path):
 def test_cap_flag_is_honored(capsys):
     code, out = run(capsys, ["project", "--poly", "2", "--cap", "64", "x1^3"])
     assert (code, out) == (0, "0\n")
+
+
+def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
+    code, out = run(capsys, ["project", "--poly", "1", "--cap", "-1", "x1"])
+    assert (code, out) == (2, "ERROR usage: nilpotence cap -1 is negative\n")
+    code, out = run(capsys, ["aut-series", "--n", "0", "--m", "1",
+                             "--aut", "x1 -> x1 + 1", "--max-order", "-1"])
+    assert (code, out) == (2, "ERROR usage: max order -1 is negative\n")
+    code, out = run(capsys, ["map-series", "--n", "0", "--m", "1",
+                             "--max-order", "-1"], stdin="", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "ERROR usage: max order -1 is negative\n")
+    for flag in ("--word-bound", "--degree-bound"):
+        code, out = run(capsys, ["invariants", "--free", "2", flag, "-1"])
+        assert (code, out) == (
+            2, "ERROR usage: word and degree bounds must be non-negative\n")

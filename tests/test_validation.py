@@ -1,0 +1,134 @@
+"""LndSystem validation on generators against the former probe set."""
+
+from fractions import Fraction
+
+import pytest
+
+from lndcalc import (
+    CapExceededError,
+    CombinationDerivation,
+    CommPoly,
+    FreeElement,
+    LndError,
+    LndSystem,
+    PartialDerivation,
+    UsageError,
+    WeylElement,
+    WeylSignature,
+    aut_verify,
+    parse_images,
+    twisted_partials,
+)
+from lndcalc.parsing import WeylCarrier
+from oracle_validate import validate as oracle_validate
+
+_W = "(x1*x3 + x2^2)"
+NAGATA = (0, 3, f"x1 -> x1 - 2*x2*{_W} - x3*{_W}^2; x2 -> x2 + x3*{_W}; x3 -> x3")
+MAP_A11 = (1, 1, "x1 -> x1 + x3^3; x2 -> x2 + x1^2*x3 - x1; x3 -> x3 + 1")
+MAP_A20 = (2, 0, "x1 -> x1; x2 -> x2; x3 -> x3 + 2*x1*x2 + 4*x1^3; "
+                 "x4 -> x4 + x1^2 + 3*x2^2")
+
+
+def _standard(gens, cap=256):
+    derivs = [PartialDerivation(i) for i in range(len(gens))]
+    return LndSystem(derivs, gens, nilpotence_cap=cap, check=False)
+
+
+def _poly_gens(num_vars, mask=frozenset()):
+    return [CommPoly.variable(num_vars, i, mask) for i in range(num_vars)]
+
+
+def _weyl_gens(sig):
+    return [WeylElement.generator(sig, i) for i in range(sig.s)]
+
+
+def _twisted(n, m, text):
+    sig = WeylSignature(n, m)
+    aut = aut_verify(sig, parse_images(text, WeylCarrier(sig)))
+    return LndSystem(twisted_partials(aut), list(aut.images), check=False)
+
+
+def _verdict(check):
+    """None when the check passes, else the class of the error it raised."""
+    try:
+        check()
+    except LndError as exc:
+        return type(exc)
+    return None
+
+
+def _both(system):
+    return _verdict(system._validate), _verdict(lambda: oracle_validate(system))
+
+
+def _accepted():
+    mask = frozenset({1})
+    return {
+        "standard P_3": _standard(_poly_gens(3)),
+        "standard A(1,1)": _standard(_weyl_gens(WeylSignature(1, 1))),
+        "standard A(2,1)": _standard(_weyl_gens(WeylSignature(2, 1))),
+        "standard F_2": _standard([FreeElement.generator(2, i) for i in range(2)]),
+        "Laurent P_2, unit x2": LndSystem(
+            [PartialDerivation(0)], [CommPoly.variable(2, 0, mask)], check=False
+        ),
+        "twisted Nagata": _twisted(*NAGATA),
+        "twisted A(1,1)": _twisted(*MAP_A11),
+        "twisted A(2,0)": _twisted(*MAP_A20),
+    }
+
+
+def _rejected():
+    x1, x2, _ = _poly_gens(3)
+    a11 = WeylSignature(1, 1)
+    return {
+        # [d1, d2] = d3 vanishes on both slices but not on x3
+        "non-commuting pair": (LndError, LndSystem(
+            [PartialDerivation(0),
+             CombinationDerivation([(1, PartialDerivation(1)), (x1, PartialDerivation(2))])],
+            [x1, x2], check=False)),
+        # d(x2) = x2 forever
+        "d1 + x2*d2 on P_2": (CapExceededError, LndSystem(
+            [CombinationDerivation([(Fraction(1), PartialDerivation(0)),
+                                    (CommPoly.variable(2, 1), PartialDerivation(1))])],
+            [CommPoly.variable(2, 0)], nilpotence_cap=16, check=False)),
+        "wrong slice": (LndError, LndSystem(
+            [PartialDerivation(0)], [CommPoly.variable(2, 1)], check=False)),
+        "non-central Weyl coefficient": (LndError, LndSystem(
+            [CombinationDerivation([(1, PartialDerivation(2)),
+                                    (WeylElement.generator(a11, 0), PartialDerivation(1))])],
+            [WeylElement.generator(a11, 2)], check=False)),
+        "non-constant free coefficient": (LndError, LndSystem(
+            [CombinationDerivation([(1, PartialDerivation(0)),
+                                    (FreeElement.generator(2, 1), PartialDerivation(1))])],
+            [FreeElement.generator(2, 0)], check=False)),
+        "derivation moving a Laurent unit": (
+            LndError, _standard(_poly_gens(1, frozenset({0})))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_accepted()))
+def test_generator_probes_accept_what_the_old_probes_accept(name):
+    assert _both(_accepted()[name]) == (None, None)
+
+
+@pytest.mark.parametrize("name", sorted(_rejected()))
+def test_generator_probes_reject_what_the_old_probes_reject(name):
+    expected, system = _rejected()[name]
+    assert _both(system) == (expected, expected)
+
+
+def test_slice_products_no_longer_raise_the_nilpotence_depth():
+    # On P_1 the old probe t^2 needs three derivations to vanish, so the old
+    # check asked for cap >= 3; the generator x1 needs two.
+    x1 = _poly_gens(1)
+    assert _both(_standard(x1, cap=1)) == (CapExceededError, CapExceededError)
+    assert _both(_standard(x1, cap=2)) == (None, CapExceededError)
+    assert _both(_standard(x1, cap=3)) == (None, None)
+    LndSystem([PartialDerivation(0)], x1, nilpotence_cap=2)
+
+
+def test_negative_nilpotence_cap_is_a_usage_error():
+    with pytest.raises(UsageError):
+        LndSystem([PartialDerivation(0)], _poly_gens(1), nilpotence_cap=-1)
+    with pytest.raises(UsageError):
+        LndSystem([PartialDerivation(0)], _poly_gens(1), nilpotence_cap=-1, check=False)

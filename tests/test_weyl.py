@@ -12,14 +12,13 @@ from lndcalc import (
     SignatureMismatchError,
     WeylElement,
     WeylSignature,
-    apply_pd_multi,
     central_to_commpoly,
     commpoly_to_central,
     parse_comm,
     parse_weyl,
-    weyl_ad,
     weyl_mul,
 )
+from lndcalc import weyl
 from oracle_weyl import oracle_mul
 from support import random_weyl
 
@@ -77,7 +76,7 @@ def test_defining_relations_exhaustively():
         n, s = sig.n, sig.s
         for i in range(s):
             for j in range(s):
-                bracket = weyl_ad(_gen(sig, i), _gen(sig, j))
+                bracket = weyl.ad(_gen(sig, i), _gen(sig, j))
                 if i < 2 * n and j < 2 * n and i == j + n:
                     assert bracket == WeylElement.one(sig), (i, j)
                 elif i < 2 * n and j < 2 * n and j == i + n:
@@ -113,10 +112,10 @@ def test_partial_out_of_range():
 
 def test_ad_examples():
     x1, x2 = _gen(A10, 0), _gen(A10, 1)
-    assert weyl_ad(x2, x1) == WeylElement.one(A10)
+    assert weyl.ad(x2, x1) == WeylElement.one(A10)
     u = parse_weyl("x1^2*x2 + x2", A10)
-    assert weyl_ad(u, u).is_zero()
-    assert weyl_ad(x1 * x1, x2) == parse_weyl("-2*x1", A10)
+    assert weyl.ad(u, u).is_zero()
+    assert weyl.ad(x1 * x1, x2) == parse_weyl("-2*x1", A10)
 
 
 def test_ad_and_power_rule_partials_agree_on_monomials():
@@ -141,9 +140,9 @@ def test_leibniz_for_partials():
 
 def test_multi_partial_examples():
     a = parse_weyl("x1^2*x2", A10)
-    assert apply_pd_multi(a, (0, 0)) == a
-    assert apply_pd_multi(a, (2, 0), divide=True) == _gen(A10, 1)
-    assert apply_pd_multi(parse_weyl("x1*x2", A10), (1, 1), divide=True) == \
+    assert a.multi_partial((0, 0)) == a
+    assert a.multi_partial((2, 0), divide=True) == _gen(A10, 1)
+    assert parse_weyl("x1*x2", A10).multi_partial((1, 1), divide=True) == \
         WeylElement.one(A10)
 
 
@@ -151,7 +150,7 @@ def test_multi_partial_order_is_irrelevant():
     rng = Random(204)
     for _ in range(10):
         a = random_weyl(rng, A11, 4, 3)
-        left = apply_pd_multi(a, (1, 2, 1))
+        left = a.multi_partial((1, 2, 1))
         right = a
         for i in (2, 1, 1, 0):  # apply in a scrambled order
             right = right.partial(i)
@@ -163,7 +162,7 @@ def test_central_variables_are_central():
     rng = Random(205)
     for _ in range(10):
         a = random_weyl(rng, A11, 3, 3)
-        assert weyl_ad(x3, a).is_zero()
+        assert weyl.ad(x3, a).is_zero()
     assert _gen(A11, 2).is_central()
     assert not _gen(A11, 0).is_central()
     assert parse_weyl("x3^2 + 1/2", A11).is_central()
@@ -195,3 +194,72 @@ def test_text_form():
     assert str(WeylElement.zero(A10)) == "0"
     assert str(weyl_mul(_gen(A10, 1), _gen(A10, 0))) == "x1*x2 + 1"
     assert str(parse_weyl("3/2*x1^2", A10)) == "3/2*x1^2"
+
+
+# -- fast paths: one-pass bracket and trusted arithmetic results ---------------
+
+A20 = WeylSignature(2, 0)
+
+
+def test_one_pass_ad_matches_both_products_and_the_swap_oracle():
+    rng = Random(206)
+    for sig in (A10, A11, A20, A21):
+        for _ in range(10):
+            u = random_weyl(rng, sig, 3, 3)
+            a = random_weyl(rng, sig, 3, 3)
+            got = weyl.ad(u, a)
+            assert got == weyl_mul(u, a) - weyl_mul(a, u)
+            assert got == oracle_mul(u, a) - oracle_mul(a, u)
+
+
+def test_ad_caps_the_bracket_not_the_products():
+    x1, x2 = _gen(A10, 0), _gen(A10, 1)
+    with pytest.raises(CapExceededError):
+        weyl.ad(x2 ** 40, x1 ** 40)  # the bracket itself has degree 78
+    with pytest.raises(CapExceededError):
+        weyl_mul(x2 ** 33, x1 ** 33)  # degree 66
+    bracket = weyl.ad(x2 ** 33, x1 ** 33)
+    assert bracket.total_degree() == 64
+    assert len(bracket.terms) == 33
+    expected = WeylElement.zero(A10)
+    for j in range(1, 34):
+        coeff = math.factorial(j) * math.comb(33, j) ** 2
+        expected = expected + WeylElement.monomial(A10, (33 - j, 33 - j), coeff)
+    assert bracket == expected
+
+
+def _assert_clean(x):
+    s = x.signature.s
+    for exps, c in x.terms.items():
+        assert type(exps) is tuple and len(exps) == s
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+    assert x == WeylElement(x.signature, dict(x.terms))
+
+
+def test_trusted_results_are_well_formed():
+    rng = Random(207)
+    for sig in (A10, A11, A20, A21):
+        x = random_weyl(rng, sig, 3, 3)
+        for _ in range(40):
+            y = random_weyl(rng, sig, 2, 3)
+            op = rng.randrange(8)
+            if op == 0:
+                x = x + y
+            elif op == 1:
+                x = x - y
+            elif op == 2:
+                x = -x
+            elif op == 3:
+                x = x.scale(rng.choice([0, 1, -2, Fraction(3, 4)]))
+            elif op == 4:
+                x = x.partial(rng.randrange(sig.s))
+            elif op == 5:
+                x = weyl_mul(x, y)
+            elif op == 6:
+                x = weyl.ad(y, x)
+            else:
+                x = x - x + y
+            _assert_clean(x)
+            if x.total_degree() > 12:
+                x = y
