@@ -51,6 +51,7 @@ from .projections import (
 from .weyl import (
     WeylElement,
     WeylSignature,
+    ad,
     central_to_commpoly,
     commpoly_to_central,
     weyl_mul,
@@ -92,7 +93,11 @@ class Automorphism:
         return cls(signature, images, verified=True)
 
     def apply(self, a: WeylElement) -> WeylElement:
-        """Image of an element: substitute generator images monomial-wise."""
+        """Image of an element: substitute generator images monomial-wise.
+
+        The image of each exponent prefix x1^e1 ... xi^ei is formed once and
+        shared by every monomial of ``a`` that starts with it; the
+        coefficient scales the finished product."""
         if not self.verified:
             raise UsageError("refusing to apply an unverified automorphism")
         if a.signature != self.signature:
@@ -108,13 +113,23 @@ class Automorphism:
                     powers[key] = weyl_mul(powed(i, e - 1), self.images[i])
             return powers[key]
 
+        prefixes: dict[tuple[int, ...], WeylElement] = {}
         total = WeylElement.zero(self.signature)
         for exps, c in a.terms.items():
-            piece = WeylElement.constant(self.signature, c)
+            piece = None
             for i, e in enumerate(exps):
-                if e:
-                    piece = weyl_mul(piece, powed(i, e))
-            total = total + piece
+                if not e:
+                    continue
+                key = exps[: i + 1]
+                if key not in prefixes:
+                    prefixes[key] = (
+                        powed(i, e) if piece is None else weyl_mul(piece, powed(i, e))
+                    )
+                piece = prefixes[key]
+            if piece is None:
+                total = total + WeylElement.constant(self.signature, c)
+            else:
+                total = total + piece.scale(c)
         return total
 
     def __eq__(self, other) -> bool:
@@ -142,13 +157,9 @@ def aut_verify(signature: WeylSignature, images: list[WeylElement]) -> Automorph
     one = WeylElement.one(signature)
     zero = WeylElement.zero(signature)
     imgs = cand.images
-
-    def comm(a: WeylElement, b: WeylElement) -> WeylElement:
-        return weyl_mul(a, b) - weyl_mul(b, a)
-
     for i in range(n):
         for j in range(n):
-            got = comm(imgs[n + i], imgs[j])
+            got = ad(imgs[n + i], imgs[j])
             expect = one if i == j else zero
             if got != expect:
                 raise RelationError(
@@ -156,9 +167,9 @@ def aut_verify(signature: WeylSignature, images: list[WeylElement]) -> Automorph
                 )
     for i in range(n):
         for j in range(i + 1, n):
-            if not comm(imgs[i], imgs[j]).is_zero():
+            if not ad(imgs[i], imgs[j]).is_zero():
                 raise RelationError(f"[s(x{i + 1}),s(x{j + 1})] != 0")
-            if not comm(imgs[n + i], imgs[n + j]).is_zero():
+            if not ad(imgs[n + i], imgs[n + j]).is_zero():
                 raise RelationError(f"[s(x{n + i + 1}),s(x{n + j + 1})] != 0")
     for j in range(m):
         if not imgs[2 * n + j].is_central():
@@ -171,10 +182,6 @@ def aut_verify(signature: WeylSignature, images: list[WeylElement]) -> Automorph
             raise JacobianError(f"Delta = {det} is not a nonzero constant")
         delta = det.constant_term()
     return Automorphism(signature, list(imgs), verified=True, delta=delta)
-
-
-def aut_apply(aut: Automorphism, a: WeylElement) -> WeylElement:
-    return aut.apply(a)
 
 
 def aut_compose(outer: Automorphism, inner: Automorphism) -> Automorphism:
@@ -342,12 +349,7 @@ class Derivation:
         gens = [WeylElement.generator(sig, i) for i in range(sig.s)]
         for a in range(sig.s):
             for b in range(a + 1, sig.s):
-                lhs = (
-                    weyl_mul(self.values[a], gens[b])
-                    - weyl_mul(gens[b], self.values[a])
-                    + weyl_mul(gens[a], self.values[b])
-                    - weyl_mul(self.values[b], gens[a])
-                )
+                lhs = ad(self.values[a], gens[b]) + ad(gens[a], self.values[b])
                 if not lhs.is_zero():
                     raise LndError(
                         f"values are not relation-compatible on (x{a + 1}, x{b + 1})"

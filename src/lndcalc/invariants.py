@@ -32,6 +32,7 @@ from .projections import (
     NILPOTENCE_CAP,
     CombinationDerivation,
     Element,
+    InnerDerivation,
     LndSystem,
     PartialDerivation,
     like_one,
@@ -80,6 +81,7 @@ def enumerate_generators(
     if word_bound < 0 or degree_bound < 0:
         raise UsageError("word and degree bounds must be non-negative")
     s = system.s
+    brackets = [InnerDerivation(t) for t in system.slices]
     witnesses: list[GeneratorWitness] = []
     seen: set[Element] = set()
 
@@ -102,8 +104,7 @@ def enumerate_generators(
             nxt = []
             for word, val in level:
                 for k in range(s):
-                    t = system.slices[k]
-                    new_val = t * val - val * t
+                    new_val = brackets[k].apply(val)
                     if new_val.is_zero():
                         continue
                     new_word = (k,) + word

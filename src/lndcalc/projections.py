@@ -17,6 +17,24 @@ acts first).  Every element then decomposes uniquely as
 
 with invariant coefficients; ``taylor_decompose`` computes the left-handed
 coefficient map and ``taylor_reconstruct`` resums it.
+
+Since d_j(t_i) = delta_ij, d_j commutes with phi_i for i != j, and the
+left coefficients read off one table of iterated derivatives d^gamma a:
+
+    c_alpha = sum_beta (-1)^|beta| t_s^beta_s ... t_1^beta_1 d^(alpha+beta) a
+              / (alpha! beta!)
+
+``taylor_decompose`` stages this one direction at a time,
+
+    P_0[g] = d^g a,   P_j[g] = sum_k (-1)^k/k! t_j^k P_(j-1)[g + k e_j],
+
+so c_alpha = P_s[alpha] / alpha!, and every derivative in the table is
+formed once.  The table is walked depth first, direction s outermost and
+direction 1 innermost, and each column b, d_j b, d_j^2 b, ... is derived
+lazily: an entry's sub-table is staged before the next entry is derived,
+so the products of phi_1 form in the same order as in phi(a), and a cap
+error stops the walk before the rest of the table exists.  The slice powers
+t_j^k are formed once per call.
 """
 
 from __future__ import annotations
@@ -125,7 +143,10 @@ class CombinationDerivation:
         total = None
         for coeff, deriv in self.parts:
             piece = deriv.apply(a)
-            piece = coeff * piece
+            if isinstance(coeff, (int, Fraction)) and coeff in (1, -1):
+                piece = piece if coeff == 1 else -piece
+            else:
+                piece = coeff * piece
             total = piece if total is None else total + piece
         return like_zero(a) if total is None else total
 
@@ -238,22 +259,30 @@ class LndSystem:
                             "combination coefficient is not central in the carrier"
                         )
         probes = carrier_generators(self._one)
+        firsts: dict[tuple[int, int], Element] = {}
+
+        def first(i: int, q: int) -> Element:
+            """d_i(probe q), derived once and shared by both probes."""
+            if (i, q) not in firsts:
+                firsts[i, q] = self.derive(i, probes[q])
+            return firsts[i, q]
+
         for i in range(self.s):
             for j in range(i + 1, self.s):
-                for p in probes:
-                    left = self.derive(i, self.derive(j, p))
-                    right = self.derive(j, self.derive(i, p))
+                for q, p in enumerate(probes):
+                    left = self.derive(i, first(j, q))
+                    right = self.derive(j, first(i, q))
                     if left != right:
                         raise LndError(
                             f"derivations {i + 1} and {j + 1} do not commute on {p}"
                         )
         for i in range(self.s):
-            for p in probes:
+            for q, p in enumerate(probes):
                 cur = p
-                for _ in range(self.nilpotence_cap + 1):
+                for step in range(self.nilpotence_cap + 1):
                     if cur.is_zero():
                         break
-                    cur = self.derive(i, cur)
+                    cur = self.derive(i, cur) if step else first(i, q)
                 else:
                     raise CapExceededError(
                         f"derivation {i + 1} not nilpotent on a probe within "
@@ -332,15 +361,67 @@ class LndSystem:
     # -- Taylor decomposition -------------------------------------------------
 
     def taylor_decompose(self, a: Element) -> TaylorCoefficients:
-        """The coefficient map alpha -> phi(d^alpha a / alpha!), zeros dropped."""
+        """The coefficient map alpha -> phi(d^alpha a / alpha!), zeros dropped,
+        read off one table of iterated derivatives (see the module docstring)."""
         coeffs: dict[MultiIndex, Element] = {}
-        if not a.is_zero():
-            for _, layer in self._layers(a):
-                for alpha, val in layer.items():
-                    c = self.phi(val) * Fraction(1, multi_factorial(alpha))
-                    if not c.is_zero():
-                        coeffs[alpha] = c
+        if a.is_zero():
+            return TaylorCoefficients(self.s, coeffs)
+        terms = [[self._one, -t] for t in self.slices]
+
+        def slice_term(i: int, k: int) -> Element:
+            """(-1)^k/k! t_i^k, each formed once per call."""
+            tm = terms[i]
+            while len(tm) <= k:
+                tm.append((tm[-1] * self.slices[i]) * Fraction(-1, len(tm)))
+            return tm[k]
+
+        for alpha, val in self._staged(self.s, a, 0, slice_term).items():
+            f = multi_factorial(alpha)
+            c = val if f == 1 else val * Fraction(1, f)
+            if not c.is_zero():
+                coeffs[alpha] = c
         return TaylorCoefficients(self.s, coeffs)
+
+    def _staged(self, j: int, b: Element, grade: int, slice_term) -> dict[MultiIndex, Element]:
+        """{(g_1..g_j): P_j[g_1..g_j]} over the table of b (module docstring).
+
+        Each column entry's sub-table is staged and folded into column index
+        0, as phi_j would, before the next entry is derived; the other
+        indices are folded once the column ends.  ``grade`` is the order
+        spent in directions above j; ``slice_term(i, k)`` is
+        (-1)^k/k! t_(i+1)^k."""
+        if j == 0:
+            return {(): b}
+        i = j - 1
+        out: dict[MultiIndex, Element] = {}
+        cols: list[dict[MultiIndex, Element] | None] = []
+
+        def fold(l: int, start: int) -> None:
+            # P_j[g, start] += (-1)^k/k! t_j^k P_(j-1)[g, l] with k = l - start
+            k = l - start
+            for sub, val in cols[l].items():
+                if val.is_zero():
+                    continue
+                if k:
+                    val = slice_term(i, k) * val
+                key = sub + (start,)
+                prev = out.get(key)
+                out[key] = val if prev is None else prev + val
+
+        cur = b
+        while not cur.is_zero():
+            if grade + len(cols) >= self.nilpotence_cap:
+                raise CapExceededError(
+                    f"iterated derivatives of order beyond cap {self.nilpotence_cap}"
+                )
+            cols.append(self._staged(i, cur, grade + len(cols), slice_term))
+            fold(len(cols) - 1, 0)
+            cur = self.derive(i, cur)
+        for l in range(1, len(cols)):
+            for start in range(1, l + 1):
+                fold(l, start)
+            cols[l] = None
+        return out
 
     def slice_monomial(self, alpha: MultiIndex) -> Element:
         """t^alpha = t_1^a1 * ... * ts^as, factors in system order."""

@@ -3,7 +3,35 @@
 from fractions import Fraction
 from random import Random
 
-from lndcalc import CommPoly, FreeElement, WeylElement, WeylSignature, aut_verify
+from lndcalc import (
+    CommPoly,
+    FreeElement,
+    LndSystem,
+    WeylElement,
+    WeylSignature,
+    aut_verify,
+    parse_images,
+    twisted_partials,
+)
+from lndcalc.parsing import WeylCarrier
+
+# (n, m, images) of three maps whose twisted systems the tests reuse
+_W = "(x1*x3 + x2^2)"
+NAGATA = (0, 3, f"x1 -> x1 - 2*x2*{_W} - x3*{_W}^2; x2 -> x2 + x3*{_W}; x3 -> x3")
+MAP_A11 = (1, 1, "x1 -> x1 + x3^3; x2 -> x2 + x1^2*x3 - x1; x3 -> x3 + 1")
+MAP_A20 = (2, 0, "x1 -> x1; x2 -> x2; x3 -> x3 + 2*x1*x2 + 4*x1^3; "
+                 "x4 -> x4 + x1^2 + 3*x2^2")
+
+
+def verified_map(n: int, m: int, text: str):
+    sig = WeylSignature(n, m)
+    return aut_verify(sig, parse_images(text, WeylCarrier(sig)))
+
+
+def twisted_unchecked(n: int, m: int, text: str) -> LndSystem:
+    """The twisted system of a map, built without validation."""
+    aut = verified_map(n, m, text)
+    return LndSystem(twisted_partials(aut), list(aut.images), check=False)
 
 
 def random_fraction(rng: Random) -> Fraction:

@@ -17,7 +17,6 @@ from lndcalc import (
     UsageError,
     WeylElement,
     WeylSignature,
-    aut_apply,
     aut_compose,
     aut_to_series,
     aut_verify,
@@ -90,13 +89,13 @@ def test_apply_examples():
     rng = Random(501)
     for _ in range(5):
         a = random_weyl(rng, A10, 4, 3)
-        assert aut_apply(ident, a) == a
+        assert ident.apply(a) == a
 
     shift = _aut(P2, "x1 -> x1 + 1; x2 -> x2 + x1")
-    assert aut_apply(shift, parse_weyl("x2", P2)) == parse_weyl("x2 + x1", P2)
+    assert shift.apply(parse_weyl("x2", P2)) == parse_weyl("x2 + x1", P2)
 
     sigma = _aut(A10, "x1 -> x1; x2 -> x2 + x1^2")
-    assert aut_apply(sigma, parse_weyl("x2*x1", A10)) == \
+    assert sigma.apply(parse_weyl("x2*x1", A10)) == \
         parse_weyl("x1*x2 + x1^3 + 1", A10)
 
 
@@ -106,7 +105,32 @@ def test_apply_is_multiplicative():
     for _ in range(10):
         a = random_weyl(rng, A10, 3, 3)
         b = random_weyl(rng, A10, 3, 3)
-        assert aut_apply(sigma, a * b) == aut_apply(sigma, a) * aut_apply(sigma, b)
+        assert sigma.apply(a * b) == sigma.apply(a) * sigma.apply(b)
+
+
+def test_apply_matches_term_by_term_substitution():
+    # shared exponent prefixes and a final scaling give the same image as
+    # substituting every monomial factor by factor from the coefficient on
+    def substitute(sigma, a):
+        total = WeylElement.zero(a.signature)
+        for exps, c in a.terms.items():
+            piece = WeylElement.constant(a.signature, c)
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    piece = piece * sigma.images[i]
+            total = total + piece
+        return total
+
+    rng = Random(507)
+    for _ in range(4):
+        sigma = random_triangular_a11(rng)
+        for _ in range(3):
+            a = random_weyl(rng, A11, 4, 6)
+            assert sigma.apply(a) == substitute(sigma, a)
+    sigma = random_unipotent_poly(rng, P2)
+    for _ in range(3):
+        a = random_weyl(rng, P2, 4, 6)
+        assert sigma.apply(a) == substitute(sigma, a)
 
 
 def test_apply_refuses_unverified_input():
@@ -314,6 +338,10 @@ def test_derivation_validation_and_scaling():
                          -WeylElement.generator(A10, 1)])
     half = d.scale(Fraction(1, 2))
     assert half.values[0] == WeylElement.generator(A10, 0).scale(Fraction(1, 2))
+    # d(x1) = 0, d(x2) = x1^64: the products x1 * x1^64 exceed the degree
+    # cap, the bracket [x1, x1^64] = 0 that validation needs does not
+    x1_64 = WeylElement.monomial(A10, (64, 0))
+    Derivation(A10, [WeylElement.zero(A10), x1_64])
 
 
 def test_derivation_apply_is_a_derivation():
@@ -381,7 +409,7 @@ def test_series_agrees_with_apply_on_low_degrees():
         series = aut_to_series(sigma, 6)
         for _ in range(4):
             a = random_weyl(rng, P2, 5, 3)
-            assert series_apply(series, a) == aut_apply(sigma, a)
+            assert series_apply(series, a) == sigma.apply(a)
 
 
 def test_series_application_is_multiplicative():

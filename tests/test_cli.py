@@ -42,6 +42,16 @@ def test_golden_failed_verification(capsys):
     assert out == "ERROR relation: [s(x2),s(x1)] != 1\n"
 
 
+def test_verify_accepts_a_bracket_within_the_cap(capsys):
+    # the product x2 * x1^64 has degree 65, but every bracket of the images
+    # (here [x2 + x1^64, x1] = 1) stays within the degree cap
+    code, out = run(capsys, [
+        "verify", "--n", "1", "--m", "0",
+        "--aut", "x1 -> x1; x2 -> x2 + x1^64",
+    ])
+    assert (code, out) == (0, "x1 -> x1; x2 -> x2 + x1^64\n")
+
+
 # -- arithmetic commands -------------------------------------------------------------
 
 

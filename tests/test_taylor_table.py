@@ -1,0 +1,175 @@
+"""Table-driven Taylor decomposition against the former phi-per-entry loop."""
+
+from random import Random
+
+import pytest
+
+from lndcalc import (
+    CapExceededError,
+    CommPoly,
+    FreeElement,
+    LndError,
+    LndSystem,
+    PartialDerivation,
+    WeylElement,
+    WeylSignature,
+    aut_compose,
+    invert,
+    standard_system,
+    twisted_partials,
+    twisted_system,
+)
+from oracle_taylor import taylor_decompose as oracle_taylor
+from support import (
+    MAP_A11,
+    MAP_A20,
+    NAGATA,
+    random_comm,
+    random_free,
+    random_weyl,
+    twisted_unchecked,
+    verified_map,
+)
+
+A11 = WeylSignature(1, 1)
+A21 = WeylSignature(2, 1)
+LAURENT = frozenset({1})
+
+
+def _laurent_element(rng):
+    """A polynomial in x1 with x2^(+-1) factors: the unit x2 is a constant."""
+    out = random_comm(rng, 2, 4, 5, LAURENT)
+    for _ in range(2):
+        out = out + CommPoly.monomial(2, (rng.randint(0, 3), -rng.randint(1, 2)),
+                                      rng.randint(-3, 3), LAURENT)
+    return out
+
+
+# (system, element generator); twisted systems get elements of low degree,
+# because the twisted derivations raise the degree
+CASES = {
+    "standard P_3": (lambda: standard_system(CommPoly.one(3)),
+                     lambda rng: random_comm(rng, 3, 5, 5)),
+    "standard A(1,1)": (lambda: standard_system(WeylElement.one(A11)),
+                        lambda rng: random_weyl(rng, A11, 4, 4)),
+    "standard A(2,1)": (lambda: standard_system(WeylElement.one(A21)),
+                        lambda rng: random_weyl(rng, A21, 3, 4)),
+    "standard F_2": (lambda: standard_system(FreeElement.one(2)),
+                     lambda rng: random_free(rng, 2, 5, 4)),
+    "Laurent P_2, unit x2": (
+        lambda: LndSystem([PartialDerivation(0)], [CommPoly.variable(2, 0, LAURENT)]),
+        _laurent_element),
+    "twisted Nagata": (lambda: twisted_unchecked(*NAGATA),
+                       lambda rng: random_weyl(rng, WeylSignature(0, 3), 2, 2)),
+    "twisted A(1,1)": (lambda: twisted_unchecked(*MAP_A11),
+                       lambda rng: random_weyl(rng, A11, 2, 3)),
+    "twisted A(2,0)": (lambda: twisted_unchecked(*MAP_A20),
+                       lambda rng: random_weyl(rng, WeylSignature(2, 0), 2, 3)),
+}
+
+
+def _generators(one):
+    if isinstance(one, CommPoly):
+        return [CommPoly.variable(one.num_vars, i, one.laurent_mask)
+                for i in range(one.num_vars)]
+    if isinstance(one, WeylElement):
+        return [WeylElement.generator(one.signature, i) for i in range(one.signature.s)]
+    return [FreeElement.generator(one.num_gens, i) for i in range(one.num_gens)]
+
+
+def _elements(name, count=4):
+    make_system, make_element = CASES[name]
+    system = make_system()
+    rng = Random(sorted(CASES).index(name) + 17)
+    one = system.slice_monomial((0,) * system.s)
+    return system, _generators(one) + [make_element(rng) for _ in range(count)]
+
+
+def _verdict(call):
+    try:
+        call()
+    except LndError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_table_coefficients_equal_the_phi_loop(name):
+    system, elements = _elements(name)
+    for a in elements:
+        got = system.taylor_decompose(a)
+        assert got == oracle_taylor(system, a), (name, str(a))
+        assert str(got) == str(oracle_taylor(system, a))
+        assert system.taylor_reconstruct(got) == a
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_table_entry_is_derived_once_and_phi_is_not_called(name, monkeypatch):
+    system, elements = _elements(name, count=2)
+    calls = []
+    derive = LndSystem.derive
+
+    def counted(self, i, a):
+        calls.append(i)
+        return derive(self, i, a)
+
+    def no_phi(self, a):
+        raise AssertionError("taylor_decompose called phi")
+
+    monkeypatch.setattr(LndSystem, "derive", counted)
+    monkeypatch.setattr(LndSystem, "phi", no_phi)
+    for a in elements:
+        calls.clear()
+        for _ in system._layers(a):
+            pass
+        walk = len(calls)
+        calls.clear()
+        system.taylor_decompose(a)
+        # the layer walk derives every table entry once in each direction
+        # up to its first nonzero one; the staged table does the same
+        assert len(calls) == walk
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_nilpotence_cap_below_and_at_the_order_raises_like_the_layer_walk(name):
+    system, elements = _elements(name, count=2)
+    for a in elements:
+        order = system.order(a)
+        for cap in (order - 1, order, order + 1):
+            if cap < 0:
+                continue
+            capped = LndSystem(list(system.derivations), list(system.slices),
+                               nilpotence_cap=cap, check=False)
+            expected = None if cap > order else CapExceededError
+            assert _verdict(lambda: list(capped._layers(a))) == expected
+            assert _verdict(lambda: capped.taylor_decompose(a)) == expected
+
+
+def test_zero_has_no_coefficients():
+    system = standard_system(CommPoly.one(2))
+    assert len(system.taylor_decompose(CommPoly.zero(2))) == 0
+
+
+def test_stretch_inversion_still_exceeds_the_degree_cap():
+    # Nagata composed with a triangular map: degree 10, 37 terms; the
+    # inverse has degree 14.  invert validates the twisted system, which
+    # takes seconds and is skipped here, and then trips DEGREE_CAP in the
+    # Taylor decomposition of x1, on the product where the phi loop tripped.
+    inner = verified_map(0, 3, "x1 -> x1; x2 -> x2 + x1^2; x3 -> x3 + x2^2 - x1")
+    stretch = aut_compose(verified_map(*NAGATA), inner)
+    system = LndSystem(twisted_partials(stretch), list(stretch.images), check=False)
+    x1 = WeylElement.generator(stretch.signature, 0)
+    with pytest.raises(CapExceededError, match="degree 66"):
+        system.taylor_decompose(x1)
+
+
+def test_twisted_system_coefficients_invert_the_map():
+    # the constant coefficients of the generators are the inverse images
+    aut = verified_map(*MAP_A11)
+    system = twisted_system(aut)
+    inverse = invert(aut)
+    for i in range(A11.s):
+        coeffs = system.taylor_decompose(WeylElement.generator(A11, i))
+        assert all(c.is_constant() for _, c in coeffs.items())
+        terms = {alpha: c.constant_term() for alpha, c in coeffs.items()}
+        assert WeylElement(A11, terms) == inverse.images[i]

@@ -15,18 +15,9 @@ from lndcalc import (
     UsageError,
     WeylElement,
     WeylSignature,
-    aut_verify,
-    parse_images,
-    twisted_partials,
 )
-from lndcalc.parsing import WeylCarrier
 from oracle_validate import validate as oracle_validate
-
-_W = "(x1*x3 + x2^2)"
-NAGATA = (0, 3, f"x1 -> x1 - 2*x2*{_W} - x3*{_W}^2; x2 -> x2 + x3*{_W}; x3 -> x3")
-MAP_A11 = (1, 1, "x1 -> x1 + x3^3; x2 -> x2 + x1^2*x3 - x1; x3 -> x3 + 1")
-MAP_A20 = (2, 0, "x1 -> x1; x2 -> x2; x3 -> x3 + 2*x1*x2 + 4*x1^3; "
-                 "x4 -> x4 + x1^2 + 3*x2^2")
+from support import MAP_A11, MAP_A20, NAGATA, twisted_unchecked as _twisted
 
 
 def _standard(gens, cap=256):
@@ -40,12 +31,6 @@ def _poly_gens(num_vars, mask=frozenset()):
 
 def _weyl_gens(sig):
     return [WeylElement.generator(sig, i) for i in range(sig.s)]
-
-
-def _twisted(n, m, text):
-    sig = WeylSignature(n, m)
-    aut = aut_verify(sig, parse_images(text, WeylCarrier(sig)))
-    return LndSystem(twisted_partials(aut), list(aut.images), check=False)
 
 
 def _verdict(check):
