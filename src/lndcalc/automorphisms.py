@@ -238,7 +238,7 @@ def _integrate_weyl(system: LndSystem, targets: list[WeylElement]) -> WeylElemen
 def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
     """The derivations d'_i = s d_i s^{-1}, i.e. d'_i(s(x_j)) = delta_ij.
 
-    For i <= 2n these are ad(s(x_{n+i})) resp. -ad(s(x_i)).  In a central
+    For i <= 2n these are ad(s(x_{n+i})) resp. ad(-s(x_i)).  In a central
     direction the Delta^{-1}-scaled cofactor expansion of the central
     Jacobian along the row of bare partials handles the center, but it need
     not vanish on the Weyl images (it fails to whenever those involve
@@ -253,7 +253,7 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
     for i in range(n):
         out.append(InnerDerivation(aut.images[n + i]))
     for i in range(n):
-        out.append(CombinationDerivation([(Fraction(-1), InnerDerivation(aut.images[i]))]))
+        out.append(InnerDerivation(-aut.images[i]))
     if m:
         central = [central_to_commpoly(aut.images[2 * n + j]) for j in range(m)]
         jac = [[img.partial(l) for l in range(m)] for img in central]

@@ -143,10 +143,7 @@ class CombinationDerivation:
         total = None
         for coeff, deriv in self.parts:
             piece = deriv.apply(a)
-            if isinstance(coeff, (int, Fraction)) and coeff in (1, -1):
-                piece = piece if coeff == 1 else -piece
-            else:
-                piece = coeff * piece
+            piece = coeff * piece
             total = piece if total is None else total + piece
         return like_zero(a) if total is None else total
 
