@@ -301,7 +301,7 @@ def invert(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorph
     for i in range(sig.s):
         gen = WeylElement.generator(sig, i)
         coeffs = system.taylor_decompose(gen)
-        terms: dict[MultiIndex, Fraction] = {}
+        terms: dict[MultiIndex, Fraction | int] = {}
         for alpha, c in coeffs.items():
             if not c.is_constant():
                 raise LndError(

@@ -2,19 +2,20 @@
 
 ``CommPoly`` is a sparse exact polynomial over the rationals in variables
 x1..xs.  Exponents are non-negative except at positions listed in
-``laurent_mask``, which are invertible (Laurent) variables.  Values are
-immutable after construction; all arithmetic returns new objects.
+``laurent_mask``, which are invertible (Laurent) variables.  Coefficients
+are ``int`` when integral and ``Fraction`` (denominator > 1) otherwise
+(``formatting.canonical``).  Values are immutable after construction; all
+arithmetic returns new objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import LndError, SignatureMismatchError
-from .formatting import render_terms
+from .formatting import Scalar, canonical, render_terms
 from .multiindex import MultiIndex, term_order_key
-
-Scalar = Fraction | int
 
 
 class CommPoly:
@@ -27,7 +28,7 @@ class CommPoly:
         laurent_mask: frozenset[int] = frozenset(),
     ):
         mask = frozenset(laurent_mask)
-        clean: dict[MultiIndex, Fraction] = {}
+        clean: dict[MultiIndex, Scalar] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != num_vars:
@@ -37,9 +38,9 @@ class CommPoly:
             for i, e in enumerate(exps):
                 if e < 0 and i not in mask:
                     raise LndError(f"negative exponent on noninvertible variable x{i + 1}")
-            c = Fraction(coeff)
+            c = canonical(coeff)
             if c:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = canonical(clean.get(exps, 0) + c)
                 if not clean[exps]:
                     del clean[exps]
         object.__setattr__(self, "num_vars", num_vars)
@@ -59,7 +60,7 @@ class CommPoly:
     def constant(
         cls, num_vars: int, value: Scalar, laurent_mask: frozenset[int] = frozenset()
     ) -> CommPoly:
-        return cls(num_vars, {(0,) * num_vars: Fraction(value)}, laurent_mask)
+        return cls(num_vars, {(0,) * num_vars: value}, laurent_mask)
 
     @classmethod
     def one(cls, num_vars: int, laurent_mask: frozenset[int] = frozenset()) -> CommPoly:
@@ -72,7 +73,7 @@ class CommPoly:
         if not 0 <= i < num_vars:
             raise IndexError(f"variable index {i} out of range")
         exps = tuple(1 if j == i else 0 for j in range(num_vars))
-        return cls(num_vars, {exps: Fraction(1)}, laurent_mask)
+        return cls(num_vars, {exps: 1}, laurent_mask)
 
     @classmethod
     def monomial(
@@ -82,7 +83,7 @@ class CommPoly:
         coeff: Scalar = 1,
         laurent_mask: frozenset[int] = frozenset(),
     ) -> CommPoly:
-        return cls(num_vars, {tuple(exponents): Fraction(coeff)}, laurent_mask)
+        return cls(num_vars, {tuple(exponents): coeff}, laurent_mask)
 
     # -- queries -----------------------------------------------------------
 
@@ -92,8 +93,8 @@ class CommPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.num_vars, Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * self.num_vars, 0)
 
     def total_degree(self) -> int:
         """Max over terms of the exponent sum; -1 for the zero element."""
@@ -101,7 +102,7 @@ class CommPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def sorted_terms(self) -> list[tuple[MultiIndex, Fraction]]:
+    def sorted_terms(self) -> list[tuple[MultiIndex, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: term_order_key(t[0]), reverse=True)
 
     def _check_compatible(self, other: CommPoly) -> None:
@@ -114,7 +115,7 @@ class CommPoly:
         self._check_compatible(other)
         merged = dict(self.terms)
         for exps, c in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + c
+            merged[exps] = merged.get(exps, 0) + c
         return CommPoly(self.num_vars, merged, self.laurent_mask)
 
     def __sub__(self, other: CommPoly) -> CommPoly:
@@ -126,7 +127,7 @@ class CommPoly:
         )
 
     def scale(self, factor: Scalar) -> CommPoly:
-        f = Fraction(factor)
+        f = canonical(factor)
         return CommPoly(
             self.num_vars, {e: c * f for e, c in self.terms.items()}, self.laurent_mask
         )
@@ -135,10 +136,10 @@ class CommPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        out: dict[MultiIndex, Fraction] = {}
+        out: dict[MultiIndex, Scalar] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 acc = out.get(key)
                 out[key] = ca * cb if acc is None else acc + ca * cb
         return CommPoly(self.num_vars, out, self.laurent_mask)
@@ -192,13 +193,13 @@ class CommPoly:
         same power rule (d/dx x^-k = -k x^-k-1)."""
         if not 0 <= i < self.num_vars:
             raise IndexError(f"variable index {i} out of range")
-        out: dict[MultiIndex, Fraction] = {}
+        out: dict[MultiIndex, Scalar] = {}
         for exps, c in self.terms.items():
             e = exps[i]
             if e == 0:
                 continue
             key = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + c * e
+            out[key] = out.get(key, 0) + c * e
         return CommPoly(self.num_vars, out, self.laurent_mask)
 
     def substitute(self, images: list[CommPoly]) -> CommPoly:
@@ -248,18 +249,6 @@ class CommPoly:
 
     def __repr__(self) -> str:
         return f"CommPoly({self.num_vars}, {str(self)!r})"
-
-
-def comm_mul(a: CommPoly, b: CommPoly) -> CommPoly:
-    return a * b
-
-
-def comm_partial(a: CommPoly, i: int) -> CommPoly:
-    return a.partial(i)
-
-
-def comm_substitute(a: CommPoly, images: list[CommPoly]) -> CommPoly:
-    return a.substitute(images)
 
 
 def jacobian_det(images: list[CommPoly]) -> CommPoly:

@@ -4,6 +4,8 @@ Basis words are tuples of generator indices; the empty word is the unit.
 The derivation partial_i sends a word to the sum of the words obtained by
 deleting one occurrence of x_{i+1} at a time, which makes the partials
 commuting locally nilpotent derivations with partial_i(x_j) = delta_ij.
+Coefficients are ``int`` when integral and ``Fraction`` (denominator > 1)
+otherwise (``formatting.canonical``).
 """
 
 from __future__ import annotations
@@ -11,24 +13,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LndError, SignatureMismatchError
-from .formatting import render_terms
+from .formatting import Scalar, canonical, render_terms
 
 Word = tuple[int, ...]
-Scalar = Fraction | int
 
 
 class FreeElement:
     __slots__ = ("num_gens", "terms")
 
     def __init__(self, num_gens: int, terms: dict[Word, Scalar] | None = None):
-        clean: dict[Word, Fraction] = {}
+        clean: dict[Word, Scalar] = {}
         for word, coeff in (terms or {}).items():
             word = tuple(word)
             if any(not 0 <= g < num_gens for g in word):
                 raise IndexError(f"letter out of range in word {word}")
-            c = Fraction(coeff)
+            c = canonical(coeff)
             if c:
-                clean[word] = clean.get(word, Fraction(0)) + c
+                clean[word] = canonical(clean.get(word, 0) + c)
                 if not clean[word]:
                     del clean[word]
         object.__setattr__(self, "num_gens", num_gens)
@@ -45,7 +46,7 @@ class FreeElement:
 
     @classmethod
     def constant(cls, num_gens: int, value: Scalar) -> FreeElement:
-        return cls(num_gens, {(): Fraction(value)})
+        return cls(num_gens, {(): value})
 
     @classmethod
     def one(cls, num_gens: int) -> FreeElement:
@@ -55,11 +56,11 @@ class FreeElement:
     def generator(cls, num_gens: int, i: int) -> FreeElement:
         if not 0 <= i < num_gens:
             raise IndexError(f"generator index {i} out of range")
-        return cls(num_gens, {(i,): Fraction(1)})
+        return cls(num_gens, {(i,): 1})
 
     @classmethod
     def word(cls, num_gens: int, letters: Word, coeff: Scalar = 1) -> FreeElement:
-        return cls(num_gens, {tuple(letters): Fraction(coeff)})
+        return cls(num_gens, {tuple(letters): coeff})
 
     # -- queries -----------------------------------------------------------
 
@@ -69,15 +70,15 @@ class FreeElement:
     def is_constant(self) -> bool:
         return all(not w for w in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((), 0)
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
         return max(len(w) for w in self.terms)
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Word, Scalar]]:
         # Longer words first, lexicographically descending within a length.
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]), reverse=True)
 
@@ -91,7 +92,7 @@ class FreeElement:
         self._check_compatible(other)
         merged = dict(self.terms)
         for w, c in other.terms.items():
-            merged[w] = merged.get(w, Fraction(0)) + c
+            merged[w] = merged.get(w, 0) + c
         return FreeElement(self.num_gens, merged)
 
     def __sub__(self, other: FreeElement) -> FreeElement:
@@ -101,18 +102,18 @@ class FreeElement:
         return FreeElement(self.num_gens, {w: -c for w, c in self.terms.items()})
 
     def scale(self, factor: Scalar) -> FreeElement:
-        f = Fraction(factor)
+        f = canonical(factor)
         return FreeElement(self.num_gens, {w: c * f for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Scalar] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 key = wa + wb
-                out[key] = out.get(key, Fraction(0)) + ca * cb
+                out[key] = out.get(key, 0) + ca * cb
         return FreeElement(self.num_gens, out)
 
     def __rmul__(self, other):
@@ -145,12 +146,12 @@ class FreeElement:
         occurrences."""
         if not 0 <= i < self.num_gens:
             raise IndexError(f"generator index {i} out of range")
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Scalar] = {}
         for word, c in self.terms.items():
             for pos, letter in enumerate(word):
                 if letter == i:
                     key = word[:pos] + word[pos + 1:]
-                    out[key] = out.get(key, Fraction(0)) + c
+                    out[key] = out.get(key, 0) + c
         return FreeElement(self.num_gens, out)
 
     def multi_partial(self, alpha: tuple[int, ...], divide: bool = False) -> FreeElement:
@@ -188,18 +189,6 @@ class FreeElement:
         return f"FreeElement({self.num_gens}, {str(self)!r})"
 
 
-def free_mul(a: FreeElement, b: FreeElement) -> FreeElement:
-    return a * b
-
-
-def free_partial(a: FreeElement, i: int) -> FreeElement:
-    return a.partial(i)
-
-
 def ad(u: FreeElement, a: FreeElement) -> FreeElement:
     """The inner derivation ad(u): a -> u*a - a*u."""
     return u * a - a * u
-
-
-def free_ad(u: FreeElement, a: FreeElement) -> FreeElement:
-    return ad(u, a)

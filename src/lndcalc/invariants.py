@@ -19,9 +19,9 @@ is tested against.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .commpoly import CommPoly
 from .errors import LndError, UsageError
@@ -40,8 +40,7 @@ from .projections import (
 from .weyl import WeylElement
 
 
-@dataclass(frozen=True)
-class GeneratorWitness:
+class GeneratorWitness(NamedTuple):
     """One enumerated invariant: value = word(base) where the word lists the
     ad(t_{k+1}) factors outermost first."""
 
@@ -164,37 +163,39 @@ def _coordinates(values: list[Element]) -> tuple[list[dict], list]:
     return [v.terms for v in values], keys
 
 
+def _image_rows(images: list[Element], degree: int) -> list[list[Fraction]]:
+    """Coordinate rows (one per image monomial, one column per image) of a
+    derivation's images of the degree-d monomials, which must be homogeneous
+    of degree d - 1."""
+    for img in images:
+        if any(
+            (len(k) if isinstance(img, FreeElement) else sum(k)) != degree - 1
+            for k in img.terms
+        ):
+            raise UsageError("derivation is not homogeneous of degree -1 on the component")
+    terms, keys = _coordinates(images)
+    index = {k: r for r, k in enumerate(keys)}
+    block = [[Fraction(0)] * len(images) for _ in keys]
+    for col, t in enumerate(terms):
+        for k, c in t.items():
+            block[index[k]][col] = c
+    return block
+
+
 def graded_kernel_oracle(system: LndSystem, degree: int) -> list[Element]:
     """Basis of the joint kernel of the system's derivations on the
     homogeneous component of the given degree, by exact elimination.
 
     Every derivation must map the component into the homogeneous component
-    one degree lower (zero images are fine)."""
+    one degree lower (zero images are fine).  The images are built one
+    derivation at a time and dropped before the elimination."""
     if degree < 0:
         raise UsageError("degree must be non-negative")
     monomials, make = _degree_basis(system._one, degree)
-    basis = [make({key: 1}) for key in monomials]
-    images = [[system.derive(i, b) for b in basis] for i in range(system.s)]
-    for per_deriv in images:
-        for img in per_deriv:
-            if not img.is_zero():
-                if any(
-                    (len(k) if isinstance(img, FreeElement) else sum(k)) != degree - 1
-                    for k in img.terms
-                ):
-                    raise UsageError(
-                        "derivation is not homogeneous of degree -1 on the component"
-                    )
     rows: list[list[Fraction]] = []
-    for per_deriv in images:
-        terms, keys = _coordinates(per_deriv)
-        index = {k: r for r, k in enumerate(keys)}
-        block = [[Fraction(0)] * len(basis) for _ in keys]
-        for col, t in enumerate(terms):
-            for k, c in t.items():
-                block[index[k]][col] = c
-        rows.extend(block)
-    vectors = nullspace(rows, len(basis))
+    for i in range(system.s):
+        rows.extend(_image_rows([system.derive(i, make({key: 1})) for key in monomials], degree))
+    vectors = nullspace(rows, len(monomials))
     return [make({key: c for key, c in zip(monomials, vec) if c}) for vec in vectors]
 
 

@@ -17,8 +17,8 @@ assigned exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .commpoly import CommPoly
 from .errors import LndError, ParseError
@@ -35,8 +35,7 @@ _SIMPLE = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     offset: int

@@ -15,6 +15,9 @@ monomials the zero-swap term of u*a and of a*u is the same key with the same
 coefficient and cancels, so only the terms with at least one swap are
 emitted, and neither product is built.
 
+Coefficients are exact rationals in one canonical form: an ``int`` when
+integral, a ``Fraction`` with denominator > 1 otherwise
+(``formatting.canonical``), so integer products never build a ``Fraction``.
 Arithmetic results are built by a trusted constructor that skips the
 validation the public constructor applies to outside input.
 
@@ -26,30 +29,28 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from operator import add
 
 from .commpoly import CommPoly
 from .errors import CapExceededError, LndError, SignatureMismatchError
-from .formatting import render_terms
+from .formatting import Scalar, canonical, render_terms
 from .multiindex import MultiIndex, multi_factorial, term_order_key
 
 #: Default bound on the total degree of any normal form produced by a product.
 DEGREE_CAP = 64
 
-Scalar = Fraction | int
 
+class WeylSignature(namedtuple("WeylSignature", "n m")):
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class WeylSignature:
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.m < 0:
+    def __new__(cls, n: int, m: int):
+        if n < 0 or m < 0:
             raise LndError("signature requires n >= 0 and m >= 0")
-        if 2 * self.n + self.m < 1:
+        if 2 * n + m < 1:
             raise LndError("signature requires at least one generator")
+        return super().__new__(cls, n, m)
 
     @property
     def s(self) -> int:
@@ -66,7 +67,7 @@ class WeylElement:
     __slots__ = ("signature", "terms")
 
     def __init__(self, signature: WeylSignature, terms: dict[MultiIndex, Scalar] | None = None):
-        clean: dict[MultiIndex, Fraction] = {}
+        clean: dict[MultiIndex, Scalar] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != signature.s:
@@ -75,9 +76,9 @@ class WeylElement:
                 )
             if any(e < 0 for e in exps):
                 raise LndError("negative exponent in a Weyl monomial")
-            c = Fraction(coeff)
+            c = canonical(coeff)
             if c:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = canonical(clean.get(exps, 0) + c)
                 if not clean[exps]:
                     del clean[exps]
         object.__setattr__(self, "signature", signature)
@@ -87,9 +88,10 @@ class WeylElement:
         raise AttributeError("WeylElement is immutable")
 
     @classmethod
-    def _trusted(cls, signature: WeylSignature, terms: dict[MultiIndex, Fraction]) -> WeylElement:
+    def _trusted(cls, signature: WeylSignature, terms: dict[MultiIndex, Scalar]) -> WeylElement:
         """Wrap terms that are already clean: keys are length-s tuples of
-        non-negative ints, values are nonzero Fractions.  Internal use only."""
+        non-negative ints, values are nonzero coefficients in canonical form
+        (``formatting.canonical``).  Internal use only."""
         out = object.__new__(cls)
         _set_signature(out, signature)
         _set_terms(out, terms)
@@ -103,7 +105,7 @@ class WeylElement:
 
     @classmethod
     def constant(cls, signature: WeylSignature, value: Scalar) -> WeylElement:
-        return cls(signature, {(0,) * signature.s: Fraction(value)})
+        return cls(signature, {(0,) * signature.s: value})
 
     @classmethod
     def one(cls, signature: WeylSignature) -> WeylElement:
@@ -114,13 +116,13 @@ class WeylElement:
         if not 0 <= i < signature.s:
             raise IndexError(f"generator index {i} out of range")
         exps = tuple(1 if j == i else 0 for j in range(signature.s))
-        return cls(signature, {exps: Fraction(1)})
+        return cls(signature, {exps: 1})
 
     @classmethod
     def monomial(
         cls, signature: WeylSignature, exponents: MultiIndex, coeff: Scalar = 1
     ) -> WeylElement:
-        return cls(signature, {tuple(exponents): Fraction(coeff)})
+        return cls(signature, {tuple(exponents): coeff})
 
     # -- queries -----------------------------------------------------------
 
@@ -130,8 +132,8 @@ class WeylElement:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.signature.s, Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * self.signature.s, 0)
 
     def is_central(self) -> bool:
         """True when only central generators occur."""
@@ -143,7 +145,7 @@ class WeylElement:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def sorted_terms(self) -> list[tuple[MultiIndex, Fraction]]:
+    def sorted_terms(self) -> list[tuple[MultiIndex, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: term_order_key(t[0]), reverse=True)
 
     def _check_compatible(self, other: WeylElement) -> None:
@@ -162,7 +164,7 @@ class WeylElement:
             if prev is None:
                 merged[exps] = c
             elif total := prev + c:
-                merged[exps] = total
+                merged[exps] = canonical(total)
             else:
                 del merged[exps]
         return WeylElement._trusted(self.signature, merged)
@@ -174,10 +176,12 @@ class WeylElement:
         return WeylElement._trusted(self.signature, {e: -c for e, c in self.terms.items()})
 
     def scale(self, factor: Scalar) -> WeylElement:
-        f = Fraction(factor)
+        f = canonical(factor)
         if not f:
             return WeylElement._trusted(self.signature, {})
-        return WeylElement._trusted(self.signature, {e: c * f for e, c in self.terms.items()})
+        return WeylElement._trusted(
+            self.signature, {e: canonical(c * f) for e, c in self.terms.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,13 +222,13 @@ class WeylElement:
         """
         if not 0 <= i < self.signature.s:
             raise IndexError(f"generator index {i} out of range")
-        out: dict[MultiIndex, Fraction] = {}
+        out: dict[MultiIndex, Scalar] = {}
         for exps, c in self.terms.items():
             e = exps[i]
             if e == 0:
                 continue
             # distinct monomials stay distinct after lowering exponent i
-            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = canonical(c * e)
         return WeylElement._trusted(self.signature, out)
 
     def partial_via_ad(self, i: int) -> WeylElement:
@@ -278,7 +282,7 @@ def _swap_terms(ea: MultiIndex, eb: MultiIndex, n: int):
     swaps = [min(ea[n + i], eb[i]) for i in range(n)]
     if not any(swaps):
         return
-    summed = [x + y for x, y in zip(ea, eb)]
+    summed = list(map(add, ea, eb))
     for k in itertools.product(*(range(v + 1) for v in swaps)):
         if not any(k):
             continue
@@ -297,8 +301,9 @@ def _swap_terms(ea: MultiIndex, eb: MultiIndex, n: int):
 
 
 def _capped(sig: WeylSignature, out: dict, cap: int) -> WeylElement:
-    """Drop cancelled terms, enforce the degree cap, wrap the result."""
-    out = {e: c for e, c in out.items() if c}
+    """Drop cancelled terms, enforce the degree cap, put the coefficients in
+    canonical form, wrap the result."""
+    out = {e: canonical(c) for e, c in out.items() if c}
     for exps in out:
         if sum(exps) > cap:
             raise CapExceededError(
@@ -315,11 +320,11 @@ def weyl_mul(a: WeylElement, b: WeylElement, degree_cap: int | None = None) -> W
     """
     a._check_compatible(b)
     n = a.signature.n
-    out: dict[MultiIndex, Fraction] = {}
+    out: dict[MultiIndex, Scalar] = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
             base = ca * cb
-            key = tuple(x + y for x, y in zip(ea, eb))
+            key = tuple(map(add, ea, eb))
             c = out.get(key)
             out[key] = base if c is None else c + base
             if n:
@@ -337,7 +342,7 @@ def ad(u: WeylElement, a: WeylElement) -> WeylElement:
     """
     u._check_compatible(a)
     n = u.signature.n
-    out: dict[MultiIndex, Fraction] = {}
+    out: dict[MultiIndex, Scalar] = {}
     for eu, cu in u.terms.items():
         for ea, ca in a.terms.items():
             base = cu * ca

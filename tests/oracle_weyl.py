@@ -55,13 +55,18 @@ def _monomial_word(alpha: tuple) -> tuple:
     return tuple(word)
 
 
-def oracle_mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Product of two elements via the single-swap rewriting oracle."""
-    signature = a.signature
-    out = WeylElement.constant(signature, 0)
+def oracle_mul_terms(a: WeylElement, b: WeylElement) -> dict:
+    """Exponent-tuple -> Fraction map of the product a*b, summed in plain
+    Fractions from the single-swap rewriting (no library arithmetic)."""
+    totals: dict[tuple, Fraction] = {}
     for alpha, ca in a.terms.items():
         for beta, cb in b.terms.items():
             word = _monomial_word(alpha) + _monomial_word(beta)
-            for gamma, c in normal_order_word(signature, word).items():
-                out = out + WeylElement.monomial(signature, gamma, ca * cb * c)
-    return out
+            for gamma, c in normal_order_word(a.signature, word).items():
+                totals[gamma] = totals.get(gamma, Fraction(0)) + Fraction(ca) * cb * c
+    return {gamma: c for gamma, c in totals.items() if c}
+
+
+def oracle_mul(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Product of two elements via the single-swap rewriting oracle."""
+    return WeylElement(a.signature, oracle_mul_terms(a, b))

@@ -34,6 +34,12 @@ def twisted_unchecked(n: int, m: int, text: str) -> LndSystem:
     return LndSystem(twisted_partials(aut), list(aut.images), check=False)
 
 
+def is_canonical(c) -> bool:
+    """The carriers' coefficient form: a nonzero int, or a Fraction that is
+    not integral."""
+    return c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+
+
 def random_fraction(rng: Random) -> Fraction:
     num = rng.randint(-6, 6)
     if num == 0:

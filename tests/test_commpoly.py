@@ -9,13 +9,10 @@ from lndcalc import (
     CommPoly,
     LndError,
     SignatureMismatchError,
-    comm_mul,
-    comm_partial,
-    comm_substitute,
     jacobian_det,
     parse_comm,
 )
-from support import random_comm
+from support import is_canonical, random_comm
 
 
 def _naive_mul(a: CommPoly, b: CommPoly) -> CommPoly:
@@ -33,7 +30,7 @@ def test_mul_matches_naive_distribution():
     for _ in range(40):
         a = random_comm(rng, 3, 4)
         b = random_comm(rng, 3, 4)
-        assert comm_mul(a, b) == _naive_mul(a, b)
+        assert a * b == _naive_mul(a, b)
 
 
 def test_mul_is_commutative():
@@ -41,15 +38,15 @@ def test_mul_is_commutative():
     for _ in range(25):
         a = random_comm(rng, 3, 5)
         b = random_comm(rng, 3, 5)
-        assert comm_mul(a, b) == comm_mul(b, a)
+        assert a * b == b * a
 
 
 def test_partial_power_rule_examples():
-    assert comm_partial(parse_comm("x1^2*x2", 2), 0) == parse_comm("2*x1*x2", 2)
-    assert comm_partial(parse_comm("x1", 2), 1).is_zero()
+    assert parse_comm("x1^2*x2", 2).partial(0) == parse_comm("2*x1*x2", 2)
+    assert parse_comm("x1", 2).partial(1).is_zero()
     mask = frozenset({0})
     a = parse_comm("x2^2*x1^-1", 2, mask)
-    assert comm_partial(a, 0) == parse_comm("-1*x2^2*x1^-2", 2, mask)
+    assert a.partial(0) == parse_comm("-1*x2^2*x1^-2", 2, mask)
 
 
 def test_leibniz_and_commuting_partials():
@@ -58,27 +55,26 @@ def test_leibniz_and_commuting_partials():
         a = random_comm(rng, 3, 5)
         b = random_comm(rng, 3, 5)
         for i in range(3):
-            lhs = comm_partial(comm_mul(a, b), i)
-            rhs = comm_mul(comm_partial(a, i), b) + comm_mul(a, comm_partial(b, i))
+            lhs = (a * b).partial(i)
+            rhs = a.partial(i) * b + a * b.partial(i)
             assert lhs == rhs
         for i in range(3):
             for j in range(3):
-                assert comm_partial(comm_partial(a, i), j) == \
-                    comm_partial(comm_partial(a, j), i)
+                assert a.partial(i).partial(j) == a.partial(j).partial(i)
 
 
 def test_substitute_examples():
     a = parse_comm("x1 + x2", 2)
-    swapped = comm_substitute(a, [parse_comm("x2", 2), parse_comm("x1", 2)])
+    swapped = a.substitute([parse_comm("x2", 2), parse_comm("x1", 2)])
     assert swapped == a
 
     sq = parse_comm("x1^2", 1)
-    assert comm_substitute(sq, [parse_comm("x1 + 1", 1)]) == \
+    assert sq.substitute([parse_comm("x1 + 1", 1)]) == \
         parse_comm("x1^2 + 2*x1 + 1", 1)
 
     prod = parse_comm("x1*x2", 2)
     images = [parse_comm("2*x1", 2), parse_comm("x2 + x1", 2)]
-    assert comm_substitute(prod, images) == parse_comm("2*x1*x2 + 2*x1^2", 2)
+    assert prod.substitute(images) == parse_comm("2*x1*x2 + 2*x1^2", 2)
 
 
 def test_substitute_negative_exponent_requires_a_unit():
@@ -86,10 +82,10 @@ def test_substitute_negative_exponent_requires_a_unit():
     a = parse_comm("x1^-1", 2, mask)
     # substituting a non-unit into an inverted position fails
     with pytest.raises(LndError):
-        comm_substitute(a, [parse_comm("x1 + 1", 2, mask), parse_comm("x2", 2, mask)])
+        a.substitute([parse_comm("x1 + 1", 2, mask), parse_comm("x2", 2, mask)])
     # a plain monomial image is fine: (x2)^-1 needs x2 invertible in the target
-    b = comm_substitute(
-        a, [parse_comm("x2", 2, frozenset({0, 1})), parse_comm("x1", 2, frozenset({0, 1}))]
+    b = a.substitute(
+        [parse_comm("x2", 2, frozenset({0, 1})), parse_comm("x1", 2, frozenset({0, 1}))]
     )
     assert b == parse_comm("x2^-1", 2, frozenset({0, 1}))
 
@@ -121,16 +117,16 @@ def test_jacobian_chain_rule_on_triangular_samples():
             CommPoly.constant(2, c) * CommPoly.variable(2, 0) + random_comm(rng, 2, 3).substitute([CommPoly.constant(2, 0), CommPoly.variable(2, 1)]),
             CommPoly.constant(2, d) * CommPoly.variable(2, 1),
         ]
-        composed = [comm_substitute(f, inner) for f in outer]
+        composed = [f.substitute(inner) for f in outer]
         lhs = jacobian_det(composed)
-        rhs = comm_substitute(jacobian_det(outer), inner) * jacobian_det(inner)
+        rhs = jacobian_det(outer).substitute(inner) * jacobian_det(inner)
         assert lhs == rhs
 
 
 def test_laurent_arithmetic():
     mask = frozenset({0})
     inv = parse_comm("x1^-1", 2, mask)
-    assert comm_mul(inv, parse_comm("x1", 2, mask)) == parse_comm("1", 2, mask)
+    assert inv * parse_comm("x1", 2, mask) == parse_comm("1", 2, mask)
     assert (inv ** 2) == parse_comm("x1^-2", 2, mask)
     with pytest.raises(LndError):
         CommPoly.monomial(2, (-1, 0))  # no mask: not invertible
@@ -150,8 +146,55 @@ def test_construction_and_queries():
     assert (a - a).terms == {}
 
 
+def _assert_clean(x):
+    for exps, c in x.terms.items():
+        assert type(exps) is tuple and len(exps) == x.num_vars
+        assert all(type(e) is int and (e >= 0 or i in x.laurent_mask)
+                   for i, e in enumerate(exps))
+        assert is_canonical(c), c
+    assert x == CommPoly(x.num_vars, dict(x.terms), x.laurent_mask)
+
+
+def test_arithmetic_results_are_well_formed():
+    rng = Random(108)
+    for mask in (frozenset(), frozenset({0})):
+        unit = CommPoly.monomial(3, (1, 0, 0) if mask else (0, 0, 0), Fraction(2, 3), mask)
+        x = random_comm(rng, 3, 3, laurent_mask=mask)
+        for _ in range(60):
+            y = random_comm(rng, 3, 2, laurent_mask=mask)
+            op = rng.randrange(9)
+            if op == 0:
+                x = x + y
+            elif op == 1:
+                x = x - y
+            elif op == 2:
+                x = -x
+            elif op == 3:
+                x = x.scale(rng.choice([0, 1, -2, Fraction(3, 4), Fraction(4, 2)]))
+            elif op == 4:
+                x = x.partial(rng.randrange(3))
+            elif op == 5:
+                x = x * y
+            elif op == 6:
+                x = x * unit ** -rng.randint(1, 2)
+            elif op == 7:
+                # x1 may carry a negative exponent only under the mask, where
+                # its image is the unit
+                images = [unit, y, CommPoly.variable(3, 1, mask)]
+                x = x.substitute(images if mask else images[::-1])
+            else:
+                x = x - x + y
+            _assert_clean(x)
+            if x.total_degree() > 10 or len(x.terms) > 40:
+                x = y
+    assert type(CommPoly.variable(2, 0).constant_term()) is int
+    # input keys that coincide as tuples are summed into canonical form
+    one = CommPoly(1, {(1,): Fraction(1, 3), range(1, 2): Fraction(2, 3)}).terms[(1,)]
+    assert one == 1 and type(one) is int
+
+
 def test_mismatched_carriers_are_rejected():
     with pytest.raises(SignatureMismatchError):
-        comm_mul(CommPoly.variable(2, 0), CommPoly.variable(3, 0))
+        CommPoly.variable(2, 0) * CommPoly.variable(3, 0)
     with pytest.raises(SignatureMismatchError):
         CommPoly.variable(2, 0, frozenset({0})) + CommPoly.variable(2, 0)

@@ -8,12 +8,10 @@ import pytest
 from lndcalc import (
     FreeElement,
     SignatureMismatchError,
-    free_ad,
-    free_mul,
-    free_partial,
     parse_free,
 )
-from support import random_free
+from lndcalc.freealg import ad
+from support import is_canonical, random_free
 
 
 def _gen(i, num_gens=2):
@@ -21,34 +19,34 @@ def _gen(i, num_gens=2):
 
 
 def test_mul_examples():
-    assert free_mul(_gen(0), _gen(1)) == FreeElement.word(2, (0, 1))
+    assert _gen(0) * _gen(1) == FreeElement.word(2, (0, 1))
     a = parse_free("x1*x2*x1 + 3", 2)
-    assert free_mul(FreeElement.one(2), a) == a
-    lhs = free_mul(parse_free("x1 + x2", 2), parse_free("x1 - x2", 2))
+    assert FreeElement.one(2) * a == a
+    lhs = parse_free("x1 + x2", 2) * parse_free("x1 - x2", 2)
     assert lhs == parse_free("x1*x1 - x1*x2 + x2*x1 - x2*x2", 2)
     # order matters
-    assert free_mul(_gen(0), _gen(1)) != free_mul(_gen(1), _gen(0))
+    assert _gen(0) * _gen(1) != _gen(1) * _gen(0)
 
 
 def test_partial_examples():
     a = parse_free("x1*x2*x1", 2)
-    assert free_partial(a, 0) == parse_free("x2*x1 + x1*x2", 2)
-    assert free_partial(_gen(0), 1).is_zero()
+    assert a.partial(0) == parse_free("x2*x1 + x1*x2", 2)
+    assert _gen(0).partial(1).is_zero()
     commutator = parse_free("x1*x2 - x2*x1", 2)
-    assert free_partial(commutator, 0).is_zero()
-    assert free_partial(commutator, 1).is_zero()
+    assert commutator.partial(0).is_zero()
+    assert commutator.partial(1).is_zero()
 
 
 def test_partial_out_of_range():
     with pytest.raises(IndexError):
-        free_partial(_gen(0), 5)
+        _gen(0).partial(5)
 
 
 def test_ad_examples():
-    assert free_ad(_gen(0), _gen(1)) == parse_free("x1*x2 - x2*x1", 2)
+    assert ad(_gen(0), _gen(1)) == parse_free("x1*x2 - x2*x1", 2)
     u = random_free(Random(301), 2, 4)
-    assert free_ad(u, u).is_zero()
-    assert free_ad(_gen(0), free_ad(_gen(0), _gen(1))) == \
+    assert ad(u, u).is_zero()
+    assert ad(_gen(0), ad(_gen(0), _gen(1))) == \
         parse_free("x1*x1*x2 - 2*x1*x2*x1 + x2*x1*x1", 2)
 
 
@@ -58,13 +56,12 @@ def test_leibniz_and_commuting_partials():
         a = random_free(rng, 3, 4, 3)
         b = random_free(rng, 3, 4, 3)
         for i in range(3):
-            lhs = free_partial(free_mul(a, b), i)
-            rhs = free_mul(free_partial(a, i), b) + free_mul(a, free_partial(b, i))
+            lhs = (a * b).partial(i)
+            rhs = a.partial(i) * b + a * b.partial(i)
             assert lhs == rhs
         for i in range(3):
             for j in range(3):
-                assert free_partial(free_partial(a, i), j) == \
-                    free_partial(free_partial(a, j), i)
+                assert a.partial(i).partial(j) == a.partial(j).partial(i)
 
 
 def test_partials_are_locally_nilpotent():
@@ -75,7 +72,7 @@ def test_partials_are_locally_nilpotent():
         for i in range(2):
             out = word
             for _ in range(length + 1):
-                out = free_partial(out, i)
+                out = out.partial(i)
             assert out.is_zero()
 
 
@@ -89,14 +86,14 @@ def test_commutator_family_lies_in_the_joint_kernel():
                 continue
             value = commutator
             for _ in range(a):
-                value = free_ad(_gen(0), value)
+                value = ad(_gen(0), value)
             for _ in range(b):
-                value = free_ad(_gen(1), value)
+                value = ad(_gen(1), value)
             family.append(value)
     assert len(family) > 3
     for f in family:
-        assert free_partial(f, 0).is_zero()
-        assert free_partial(f, 1).is_zero()
+        assert f.partial(0).is_zero()
+        assert f.partial(1).is_zero()
 
 
 def test_construction_and_queries():
@@ -111,6 +108,45 @@ def test_construction_and_queries():
     assert (a - a).terms == {}
 
 
+def _assert_clean(x):
+    for word, c in x.terms.items():
+        assert type(word) is tuple
+        assert all(type(g) is int and 0 <= g < x.num_gens for g in word)
+        assert is_canonical(c), c
+    assert x == FreeElement(x.num_gens, dict(x.terms))
+
+
+def test_arithmetic_results_are_well_formed():
+    rng = Random(305)
+    x = random_free(rng, 2, 3)
+    for _ in range(80):
+        y = random_free(rng, 2, 2)
+        op = rng.randrange(8)
+        if op == 0:
+            x = x + y
+        elif op == 1:
+            x = x - y
+        elif op == 2:
+            x = -x
+        elif op == 3:
+            x = x.scale(rng.choice([0, 1, -2, Fraction(3, 4), Fraction(4, 2)]))
+        elif op == 4:
+            x = x.partial(rng.randrange(2))
+        elif op == 5:
+            x = x * y
+        elif op == 6:
+            x = ad(y, x)
+        else:
+            x = x - x + y
+        _assert_clean(x)
+        if x.total_degree() > 8 or len(x.terms) > 60:
+            x = y
+    assert type(FreeElement.generator(2, 0).constant_term()) is int
+    # input words that coincide as tuples are summed into canonical form
+    one = FreeElement(1, {(0,): Fraction(1, 3), range(0, 1): Fraction(2, 3)}).terms
+    assert one == {(0,): 1} and type(one[(0,)]) is int
+
+
 def test_mismatched_generator_counts():
     with pytest.raises(SignatureMismatchError):
-        free_mul(FreeElement.generator(2, 0), FreeElement.generator(3, 0))
+        FreeElement.generator(2, 0) * FreeElement.generator(3, 0)

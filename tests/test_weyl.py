@@ -19,8 +19,8 @@ from lndcalc import (
     weyl_mul,
 )
 from lndcalc import weyl
-from oracle_weyl import oracle_mul
-from support import random_weyl
+from oracle_weyl import oracle_mul, oracle_mul_terms
+from support import is_canonical, random_weyl
 
 A10 = WeylSignature(1, 0)
 A11 = WeylSignature(1, 1)
@@ -212,6 +212,34 @@ def test_one_pass_ad_matches_both_products_and_the_swap_oracle():
             assert got == oracle_mul(u, a) - oracle_mul(a, u)
 
 
+def test_products_and_brackets_match_the_oracle_in_canonical_form():
+    """Values from the single-swap oracle; coefficients that cancel to
+    integers (1/2*2, 1/3 + 2/3) come back as int, the others as Fraction."""
+    rng = Random(208)
+    third = Fraction(1, 3)
+    for sig in (A10, A11, A20, A21):
+        x, p = _gen(sig, 0), _gen(sig, sig.n)  # a coordinate and its momentum
+        cases = [
+            (p.scale(Fraction(1, 2)), x.scale(2)),
+            (x.scale(third) + p.scale(2 * third), x + p),
+            (p.scale(third) + x, x.scale(Fraction(3, 4)) + p.scale(Fraction(-5, 2))),
+        ] + [(random_weyl(rng, sig, 3, 3), random_weyl(rng, sig, 3, 3)) for _ in range(8)]
+        for a, b in cases:
+            ab, ba = oracle_mul_terms(a, b), oracle_mul_terms(b, a)
+            bracket = {k: ab.get(k, 0) - ba.get(k, 0) for k in ab.keys() | ba.keys()}
+            for got, expected in (
+                (weyl_mul(a, b), ab),
+                (weyl.ad(a, b), {k: c for k, c in bracket.items() if c}),
+            ):
+                assert got.terms == expected
+                assert all(is_canonical(c) for c in got.terms.values())
+    x1, x2 = _gen(A10, 0), _gen(A10, 1)
+    one = weyl.ad(x2.scale(Fraction(1, 2)), x1.scale(2)).constant_term()
+    assert one == 1 and type(one) is int
+    one = weyl_mul(x1.scale(third) + x2.scale(2 * third), x1 + x2).terms[(1, 1)]
+    assert one == 1 and type(one) is int
+
+
 def test_ad_caps_the_bracket_not_the_products():
     x1, x2 = _gen(A10, 0), _gen(A10, 1)
     with pytest.raises(CapExceededError):
@@ -233,7 +261,7 @@ def _assert_clean(x):
     for exps, c in x.terms.items():
         assert type(exps) is tuple and len(exps) == s
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(c) is Fraction and c != 0
+        assert is_canonical(c), c
     assert x == WeylElement(x.signature, dict(x.terms))
 
 
