@@ -13,6 +13,16 @@ over the twisted partials d'_i = ad(s(x_{n+i})), d'_{n+i} = -ad(s(x_i)),
 d'_{2n+j} = Delta^{-1} * (cofactor row of the central Jacobian), with slices
 s(x_i), and then certifies the result by composing back.
 
+On P_m (n = 0) the coefficients are constants and evaluation at 0 is a ring
+homomorphism, so with y = s(x)(0) they are scalar sums over the derivative
+table, walked depth first as in ``taylor_decompose`` with no slice product
+(``LndSystem._taylor_at_zero``):
+
+    c_alpha = sum_{gamma >= alpha} (d'^gamma x_i)(0) (-y)^(gamma-alpha) / (alpha! (gamma-alpha)!)
+
+The certificate subsumes their constancy check (it passes only if s is an
+automorphism).  For n > 0 (A_n has no character) it is checked explicitly.
+
 ``log_aut`` and ``exp_der`` convert between unipotent automorphisms and
 locally nilpotent derivations; ``aut_to_series`` / ``map_to_series`` express
 polynomial automorphisms (and arbitrary tabulated linear maps) as
@@ -292,14 +302,18 @@ def twisted_system(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> L
 def invert(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorphism:
     """Inversion formula: s^{-1}(x_i) = sum_alpha x^alpha phi'(d'^alpha x_i / alpha!).
 
-    Every coefficient must be a rational constant; the candidate inverse is
-    verified and certified by composing with the input on both sides.
+    Every coefficient must be a rational constant (on P_m they are evaluated
+    at 0, see the module docstring); the candidate inverse is verified and
+    certified by composing with the input on both sides.
     """
     sig = aut.signature
     system = twisted_system(aut, nilpotence_cap=nilpotence_cap)
     images = []
     for i in range(sig.s):
         gen = WeylElement.generator(sig, i)
+        if not sig.n:
+            images.append(WeylElement(sig, system._taylor_at_zero(gen)))
+            continue
         coeffs = system.taylor_decompose(gen)
         terms: dict[MultiIndex, Fraction | int] = {}
         for alpha, c in coeffs.items():

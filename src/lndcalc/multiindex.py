@@ -27,24 +27,6 @@ def multi_total(alpha: MultiIndex) -> int:
     return sum(alpha)
 
 
-def multi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def multi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def multi_leq(a: MultiIndex, b: MultiIndex) -> bool:
-    """Componentwise a <= b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def unit_index(s: int, i: int) -> MultiIndex:
-    """The i-th standard basis multi-index of length s."""
-    return tuple(1 if j == i else 0 for j in range(s))
-
-
 def iter_layer(s: int, total: int) -> Iterator[MultiIndex]:
     """All alpha in N^s with |alpha| = total, in lexicographic order."""
     if s == 1:
@@ -80,6 +62,3 @@ def term_order_key(alpha: MultiIndex) -> tuple:
     """
     return tuple(reversed(alpha))
 
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

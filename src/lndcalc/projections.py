@@ -40,12 +40,13 @@ t_j^k are formed once per call.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .commpoly import CommPoly
 from .errors import CapExceededError, LndError, SignatureMismatchError, UsageError
+from .formatting import Scalar, canonical
 from .freealg import FreeElement
-from .multiindex import MultiIndex, graded_lex_key, multi_factorial
+from .multiindex import MultiIndex, graded_lex_key, iter_box, multi_factorial
 from .weyl import WeylElement, ad
 
 Element = CommPoly | WeylElement | FreeElement
@@ -143,7 +144,10 @@ class CombinationDerivation:
         total = None
         for coeff, deriv in self.parts:
             piece = deriv.apply(a)
-            piece = coeff * piece
+            if piece.is_zero():
+                continue
+            if not (isinstance(coeff, (int, Fraction)) and coeff == 1):
+                piece = coeff * piece
             total = piece if total is None else total + piece
         return like_zero(a) if total is None else total
 
@@ -288,6 +292,13 @@ class LndSystem:
 
     # -- order ---------------------------------------------------------------
 
+    def _check_depth(self, depth: int) -> None:
+        """A table entry of order ``depth`` may be derived once more."""
+        if depth >= self.nilpotence_cap:
+            raise CapExceededError(
+                f"iterated derivatives of order beyond cap {self.nilpotence_cap}"
+            )
+
     def _layers(self, a: Element):
         """Yield (grade d, {alpha: d^alpha(a)}) with only nonzero values,
         stopping after the last nonzero layer."""
@@ -296,10 +307,7 @@ class LndSystem:
         d = 0
         while layer:
             yield d, layer
-            if d >= self.nilpotence_cap:
-                raise CapExceededError(
-                    f"iterated derivatives of order beyond cap {self.nilpotence_cap}"
-                )
+            self._check_depth(d)
             nxt: dict[MultiIndex, Element] = {}
             for alpha, val in layer.items():
                 first = next((k for k, e in enumerate(alpha) if e), self.s)
@@ -407,10 +415,7 @@ class LndSystem:
 
         cur = b
         while not cur.is_zero():
-            if grade + len(cols) >= self.nilpotence_cap:
-                raise CapExceededError(
-                    f"iterated derivatives of order beyond cap {self.nilpotence_cap}"
-                )
+            self._check_depth(grade + len(cols))
             cols.append(self._staged(i, cur, grade + len(cols), slice_term))
             fold(len(cols) - 1, 0)
             cur = self.derive(i, cur)
@@ -419,6 +424,41 @@ class LndSystem:
                 fold(l, start)
             cols[l] = None
         return out
+
+    def _taylor_at_zero(self, a: Element) -> dict[MultiIndex, Scalar]:
+        """{alpha: c_alpha(0)} for the coefficients of ``taylor_decompose(a)``,
+        zeros dropped, on a carrier where evaluation at 0 is a ring
+        homomorphism (P_m).  With v_gamma = (d^gamma a)(0) and y = t(0):
+
+            c_alpha(0) = sum_{gamma >= alpha} v_gamma (-y)^(gamma - alpha)
+                         / (alpha! (gamma - alpha)!).
+
+        The table is walked as ``_staged`` walks it (same derivatives, same
+        depth-first order, same cap); no slice power or product is formed."""
+        values: dict[MultiIndex, Scalar] = {}
+
+        def walk(j: int, b: Element, grade: int, tail: MultiIndex) -> None:
+            if j == 0:
+                if v := b.constant_term():
+                    values[tail] = v
+                return
+            cur, l = b, 0
+            while not cur.is_zero():
+                self._check_depth(grade + l)
+                walk(j - 1, cur, grade + l, (l,) + tail)
+                cur = self.derive(j - 1, cur)
+                l += 1
+
+        walk(self.s, a, 0, ())
+        neg_y = [-t.constant_term() for t in self.slices]
+        sums: dict[MultiIndex, Fraction] = {}
+        for gamma, v in values.items():
+            for beta in iter_box(tuple(g if y else 0 for g, y in zip(gamma, neg_y))):
+                alpha = tuple(g - b for g, b in zip(gamma, beta))
+                num = v * prod(y**b for y, b in zip(neg_y, beta))
+                term = Fraction(num, multi_factorial(alpha) * multi_factorial(beta))
+                sums[alpha] = sums.get(alpha, 0) + term
+        return {alpha: canonical(c) for alpha, c in sums.items() if c}
 
     def slice_monomial(self, alpha: MultiIndex) -> Element:
         """t^alpha = t_1^a1 * ... * ts^as, factors in system order."""

@@ -10,10 +10,20 @@ p^a q^b = sum_j j! C(a,j) C(b,j) q^(b-j) p^(a-j), and distinct pairs act
 independently.  (An iterative single-swap rewriter reproducing this is kept
 in the test suite as an oracle.)
 
+The swap rows of a pair of monomials (swap counts k, factor prod_i k_i!
+C(a_i,k_i) C(b_i,k_i)) depend only on the left momentum and the right
+coordinate exponents; they sit in a bounded cache keyed by that exponent
+pair, so a pair that cannot swap (the common case) costs one lookup.
+
 The bracket ad(u)(a) = u*a - a*u is formed in one pass: for each pair of
 monomials the zero-swap term of u*a and of a*u is the same key with the same
 coefficient and cancels, so only the terms with at least one swap are
-emitted, and neither product is built.
+emitted (the rows of both orders merged, also cached), and neither product
+is built.  On P_m (n = 0) every bracket is 0.
+
+The degree cap applies to the normal form.  No term of a product (or
+bracket) exceeds maxdeg(a) + maxdeg(b), so the result is scanned only when
+that bound exceeds the cap; the cap rejects exactly what a full scan would.
 
 Coefficients are exact rationals in one canonical form: an ``int`` when
 integral, a ``Fraction`` with denominator > 1 otherwise
@@ -27,11 +37,12 @@ polynomial automorphisms are represented downstream.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .commpoly import CommPoly
 from .errors import CapExceededError, LndError, SignatureMismatchError
@@ -231,15 +242,6 @@ class WeylElement:
             out[exps[:i] + (e - 1,) + exps[i + 1:]] = canonical(c * e)
         return WeylElement._trusted(self.signature, out)
 
-    def partial_via_ad(self, i: int) -> WeylElement:
-        """Partial derivative computed from the defining inner derivations."""
-        sig = self.signature
-        if i < sig.n:
-            return ad(WeylElement.generator(sig, sig.n + i), self)
-        if i < 2 * sig.n:
-            return -ad(WeylElement.generator(sig, i - sig.n), self)
-        return self.partial(i)
-
     def multi_partial(self, alpha: MultiIndex, divide: bool = False) -> WeylElement:
         """Apply d^alpha = prod partial_i^alpha_i; optionally divide by alpha!."""
         if len(alpha) != self.signature.s:
@@ -276,39 +278,48 @@ _set_signature = WeylElement.signature.__set__
 _set_terms = WeylElement.terms.__set__
 
 
-def _swap_terms(ea: MultiIndex, eb: MultiIndex, n: int):
-    """(key, factor) for the terms of x^ea * x^eb with at least one swap;
-    the zero-swap term x^(ea+eb) with factor 1 is left to the caller."""
-    swaps = [min(ea[n + i], eb[i]) for i in range(n)]
+@functools.lru_cache(maxsize=4096)
+def _swap_rows(p: MultiIndex, q: MultiIndex, s: int) -> tuple[tuple[MultiIndex, int], ...]:
+    """(drop, factor) for the terms of x^ea * x^eb with at least one swap,
+    where p = ea[n:2n] are the momentum exponents on the left and q = eb[:n]
+    the coordinate exponents on the right: the term with k_i swaps in pair i
+    has key ea + eb - drop, drop = (k, k, 0, ..., 0) of length s, and factor
+    prod_i k_i! C(p_i, k_i) C(q_i, k_i).  The zero-swap term x^(ea+eb) with
+    factor 1 is left to the caller; no pair can swap when the rows are empty."""
+    swaps = [min(a, b) for a, b in zip(p, q)]
     if not any(swaps):
-        return
-    summed = list(map(add, ea, eb))
+        return ()
+    pad = (0,) * (s - 2 * len(p))
+    rows = []
     for k in itertools.product(*(range(v + 1) for v in swaps)):
         if not any(k):
             continue
         factor = 1
-        key = summed.copy()
-        for i, ki in enumerate(k):
+        for ki, a, b in zip(k, p, q):
             if ki:
-                factor *= (
-                    math.factorial(ki)
-                    * math.comb(ea[n + i], ki)
-                    * math.comb(eb[i], ki)
-                )
-                key[i] -= ki
-                key[n + i] -= ki
-        yield tuple(key), factor
+                factor *= math.factorial(ki) * math.comb(a, ki) * math.comb(b, ki)
+        rows.append((k + k + pad, factor))
+    return tuple(rows)
 
 
-def _capped(sig: WeylSignature, out: dict, cap: int) -> WeylElement:
-    """Drop cancelled terms, enforce the degree cap, put the coefficients in
-    canonical form, wrap the result."""
+@functools.lru_cache(maxsize=4096)
+def _bracket_rows(pu: MultiIndex, qa: MultiIndex, pa: MultiIndex, qu: MultiIndex, s: int):
+    """Rows of ad(x^eu)(x^ea): the rows of x^eu * x^ea minus those of x^ea * x^eu."""
+    merged = dict(_swap_rows(pu, qa, s))
+    for drop, factor in _swap_rows(pa, qu, s):
+        merged[drop] = merged.get(drop, 0) - factor
+    return tuple((drop, factor) for drop, factor in merged.items() if factor)
+
+
+def _capped(sig: WeylSignature, out: dict, cap: int, bound: int) -> WeylElement:
+    """Canonical result; the cap scan runs if ``bound`` (>= any degree) exceeds it."""
     out = {e: canonical(c) for e, c in out.items() if c}
-    for exps in out:
-        if sum(exps) > cap:
-            raise CapExceededError(
-                f"degree cap {cap} exceeded by a normal form of degree {sum(exps)}"
-            )
+    if bound > cap:
+        for exps in out:
+            if sum(exps) > cap:
+                raise CapExceededError(
+                    f"degree cap {cap} exceeded by a normal form of degree {sum(exps)}"
+                )
     return WeylElement._trusted(sig, out)
 
 
@@ -319,19 +330,26 @@ def weyl_mul(a: WeylElement, b: WeylElement, degree_cap: int | None = None) -> W
     degree above the cap (default DEGREE_CAP).
     """
     a._check_compatible(b)
-    n = a.signature.n
+    sig = a.signature
+    if not a.terms or not b.terms:
+        return WeylElement._trusted(sig, {})
+    n, s = sig.n, sig.s
     out: dict[MultiIndex, Scalar] = {}
+    right = [(eb, cb, eb[:n]) for eb, cb in b.terms.items()]
     for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
+        p = ea[n:2 * n]
+        for eb, cb, q in right:
             base = ca * cb
             key = tuple(map(add, ea, eb))
             c = out.get(key)
             out[key] = base if c is None else c + base
             if n:
-                for key, factor in _swap_terms(ea, eb, n):
-                    c = out.get(key)
-                    out[key] = base * factor if c is None else c + base * factor
-    return _capped(a.signature, out, DEGREE_CAP if degree_cap is None else degree_cap)
+                for drop, factor in _swap_rows(p, q, s):
+                    k = tuple(map(sub, key, drop))
+                    c = out.get(k)
+                    out[k] = base * factor if c is None else c + base * factor
+    cap = DEGREE_CAP if degree_cap is None else degree_cap
+    return _capped(sig, out, cap, max(map(sum, a.terms)) + max(map(sum, b.terms)))
 
 
 def ad(u: WeylElement, a: WeylElement) -> WeylElement:
@@ -341,16 +359,25 @@ def ad(u: WeylElement, a: WeylElement) -> WeylElement:
     DEGREE_CAP applies to the bracket itself, not to the two products.
     """
     u._check_compatible(a)
-    n = u.signature.n
+    sig = u.signature
+    n, s = sig.n, sig.s
+    if not n or not u.terms or not a.terms:
+        return WeylElement._trusted(sig, {})
     out: dict[MultiIndex, Scalar] = {}
+    right = [(ea, ca, ea[:n], ea[n:2 * n]) for ea, ca in a.terms.items()]
     for eu, cu in u.terms.items():
-        for ea, ca in a.terms.items():
+        pu, qu = eu[n:2 * n], eu[:n]
+        for ea, ca, qa, pa in right:
+            rows = _bracket_rows(pu, qa, pa, qu, s)
+            if not rows:
+                continue
             base = cu * ca
-            for left, right, sbase in ((eu, ea, base), (ea, eu, -base)):
-                for key, factor in _swap_terms(left, right, n):
-                    c = out.get(key)
-                    out[key] = sbase * factor if c is None else c + sbase * factor
-    return _capped(u.signature, out, DEGREE_CAP)
+            key = tuple(map(add, eu, ea))
+            for drop, factor in rows:
+                k = tuple(map(sub, key, drop))
+                c = out.get(k)
+                out[k] = base * factor if c is None else c + base * factor
+    return _capped(sig, out, DEGREE_CAP, max(map(sum, u.terms)) + max(map(sum, a.terms)))
 
 
 def central_to_commpoly(a: WeylElement) -> CommPoly:

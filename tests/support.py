@@ -9,6 +9,7 @@ from lndcalc import (
     LndSystem,
     WeylElement,
     WeylSignature,
+    aut_compose,
     aut_verify,
     parse_images,
     twisted_partials,
@@ -131,3 +132,41 @@ def random_triangular_a11(rng: Random):
         x3.scale(mu) + WeylElement.constant(sig, rng.randint(-3, 3)),
     ]
     return aut_verify(sig, images)
+
+
+def tame_poly_map(m: int, steps):
+    """A tame automorphism of P_m and its inverse, both verified.
+
+    Each step (j, scale, f) is the elementary map x_j -> scale * x_j + f with
+    f free of x_j, given as {exponents: coefficient}; the map is
+    step_1 o step_2 o ..., so its inverse is known by construction.  A
+    constant in f moves the images off 0."""
+    sig = WeylSignature(0, m)
+    gens = [WeylElement.generator(sig, i) for i in range(m)]
+    aut = inverse = None
+    for j, scale, f in steps:
+        shift = WeylElement(sig, f)
+        image, back = list(gens), list(gens)
+        image[j] = gens[j].scale(scale) + shift
+        back[j] = (gens[j] - shift).scale(Fraction(1) / scale)
+        step, step_inv = aut_verify(sig, image), aut_verify(sig, back)
+        aut = step if aut is None else aut_compose(aut, step)
+        inverse = step_inv if inverse is None else aut_compose(step_inv, inverse)
+    return aut, inverse
+
+
+def random_tame_poly(rng: Random, m: int, steps: int = 2, degree: int = 2):
+    """Seeded ``tame_poly_map``: like the benchmark's triangular templates,
+    shifts by up to two monomials of degree <= ``degree`` plus a constant,
+    and now and then a scaled variable."""
+    made = []
+    for _ in range(steps):
+        j = rng.randrange(m)
+        f = {(0,) * m: rng.randint(-2, 2)}
+        for _ in range(rng.randint(1, 2)):
+            alpha = [0] * m
+            for _ in range(rng.randint(1, degree)):
+                alpha[rng.choice([k for k in range(m) if k != j])] += 1
+            f[tuple(alpha)] = random_fraction(rng)
+        made.append((j, rng.choice([1, 1, 1, -1, 2, Fraction(1, 2)]), f))
+    return tame_poly_map(m, made)

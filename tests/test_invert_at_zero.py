@@ -1,0 +1,139 @@
+"""Inversion on P_m from constant terms against the table-driven Taylor path.
+
+On P_m (n = 0) ``invert`` reads the inverse's coefficients off the scalars
+(d'^gamma x_i)(0) (``LndSystem._taylor_at_zero``); the coefficients of
+``taylor_decompose`` evaluated at 0 are the oracle.
+"""
+
+from random import Random
+
+import pytest
+
+from lndcalc import (
+    CapExceededError,
+    LndError,
+    LndSystem,
+    WeylElement,
+    WeylSignature,
+    aut_compose,
+    invert,
+    twisted_partials,
+)
+from support import (
+    NAGATA,
+    is_canonical,
+    random_tame_poly,
+    random_weyl,
+    verified_map,
+)
+
+
+def _unchecked(aut, nilpotence_cap=256):
+    return LndSystem(twisted_partials(aut), list(aut.images),
+                     nilpotence_cap=nilpotence_cap, check=False)
+
+
+def _maps():
+    """Seeded tame maps on P_2..P_4 (constant shifts move the images off 0,
+    some variables are scaled) and the Nagata map, with their inverses."""
+    rng = Random(811)
+    cases = [random_tame_poly(rng, m, steps=2) for m in (2, 3, 4) for _ in range(4)]
+    cases += [random_tame_poly(rng, 2, steps=3) for _ in range(2)]
+    nagata = verified_map(*NAGATA)
+    return cases + [(nagata, None)]
+
+
+def _at_zero(system, a):
+    return {alpha: c.constant_term()
+            for alpha, c in system.taylor_decompose(a).items()
+            if c.constant_term()}
+
+
+def _verdict(call):
+    try:
+        call()
+    except LndError as exc:
+        return type(exc)
+    return None
+
+
+def test_constant_terms_equal_the_table_path():
+    rng = Random(812)
+    maps = _maps()
+    # y = s(x)(0) != 0 makes the resummation over gamma >= alpha non-trivial
+    assert sum(any(img.constant_term() for img in aut.images) for aut, _ in maps) >= 8
+    for aut, _ in maps:
+        sig = aut.signature
+        system = _unchecked(aut)
+        gens = [WeylElement.generator(sig, i) for i in range(sig.s)]
+        for a in gens + [random_weyl(rng, sig, 2, 3) for _ in range(2)]:
+            got = system._taylor_at_zero(a)
+            assert got == _at_zero(system, a), (str(aut), str(a))
+            assert all(is_canonical(c) for c in got.values())
+
+
+def test_invert_equals_the_known_inverse_and_the_table_path():
+    for aut, inverse in _maps():
+        sig = aut.signature
+        got = invert(aut)
+        if inverse is not None:
+            assert got == inverse
+            assert str(got) == str(inverse)
+        system = _unchecked(aut)
+        for i in range(sig.s):
+            x = WeylElement.generator(sig, i)
+            assert all(c.is_constant() for _, c in system.taylor_decompose(x).items())
+            assert got.images[i] == WeylElement(sig, _at_zero(system, x))
+
+
+def test_the_walk_derives_what_the_table_derives(monkeypatch):
+    calls = []
+    derive = LndSystem.derive
+
+    def counted(self, i, a):
+        calls.append(i)
+        return derive(self, i, a)
+
+    monkeypatch.setattr(LndSystem, "derive", counted)
+    for aut, _ in _maps():
+        system = _unchecked(aut)
+        for i in range(aut.signature.s):
+            x = WeylElement.generator(aut.signature, i)
+            calls.clear()
+            system.taylor_decompose(x)
+            table = list(calls)
+            calls.clear()
+            system._taylor_at_zero(x)
+            assert calls == table
+
+
+def test_nilpotence_cap_below_at_and_above_the_order_raises_like_the_table():
+    for aut, _ in _maps():
+        system = _unchecked(aut)
+        for i in range(aut.signature.s):
+            x = WeylElement.generator(aut.signature, i)
+            order = system.order(x)
+            for cap in (order - 1, order, order + 1):
+                capped = _unchecked(aut, nilpotence_cap=cap)
+                expected = None if cap > order else CapExceededError
+                assert _verdict(lambda: capped.taylor_decompose(x)) == expected
+                assert _verdict(lambda: capped._taylor_at_zero(x)) == expected
+
+
+def test_stretch_walk_reaches_the_inverse_and_certification_trips_the_cap():
+    # No slice product is formed, so every coefficient comes out (the table
+    # path trips DEGREE_CAP in a fold of degree 66); what is left of invert
+    # on this map is certification, whose s(t(x1)) forms a degree-65 power.
+    inner = verified_map(0, 3, "x1 -> x1; x2 -> x2 + x1^2; x3 -> x3 + x2^2 - x1")
+    inner_inv = verified_map(0, 3, "x1 -> x1; x2 -> x2 - x1^2; "
+                                   "x3 -> x3 - (x2 - x1^2)^2 + x1")
+    nagata_inv = invert(verified_map(*NAGATA))
+    stretch = aut_compose(verified_map(*NAGATA), inner)
+    expected = aut_compose(inner_inv, nagata_inv)
+    system = _unchecked(stretch)
+    sig = WeylSignature(0, 3)
+    for i in range(sig.s):
+        got = WeylElement(sig, system._taylor_at_zero(WeylElement.generator(sig, i)))
+        assert got == expected.images[i]
+    with pytest.raises(CapExceededError, match="degree 65"):
+        stretch.apply(expected.images[0])

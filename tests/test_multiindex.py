@@ -4,18 +4,13 @@ import math
 from random import Random
 
 from lndcalc.multiindex import (
-    binomial,
     graded_lex_key,
     iter_box,
     iter_layer,
     iter_upto,
-    multi_add,
     multi_factorial,
-    multi_leq,
-    multi_sub,
     multi_total,
     term_order_key,
-    unit_index,
 )
 
 
@@ -40,21 +35,10 @@ def test_iter_box_covers_the_full_box():
     assert len(box) == 6
 
 
-def test_factorial_total_binomial():
+def test_factorial_and_total():
     assert multi_factorial((2, 3)) == 12
     assert multi_factorial(()) == 1
     assert multi_total((2, 3)) == 5
-    assert binomial(5, 2) == 10
-    assert binomial(3, 5) == 0
-    assert binomial(4, 0) == 1
-
-
-def test_arithmetic_helpers():
-    assert multi_add((1, 2), (3, 4)) == (4, 6)
-    assert multi_sub((3, 4), (1, 2)) == (2, 2)
-    assert multi_leq((1, 2), (1, 3))
-    assert not multi_leq((2, 2), (1, 3))
-    assert unit_index(3, 1) == (0, 1, 0)
 
 
 def test_term_order_puts_higher_indices_first():

@@ -119,12 +119,16 @@ def test_ad_examples():
 
 
 def test_ad_and_power_rule_partials_agree_on_monomials():
+    # d_i = ad(x_{n+i}) and d_{n+i} = -ad(x_i); also guards weyl.ad's swap rows
     from lndcalc.multiindex import iter_upto
 
-    for alpha in iter_upto(A11.s, 6):
-        mono = WeylElement.monomial(A11, alpha)
-        for i in range(A11.s):
-            assert mono.partial(i) == mono.partial_via_ad(i), (alpha, i)
+    for sig, bound in ((A11, 6), (A21, 4)):
+        n = sig.n
+        for alpha in iter_upto(sig.s, bound):
+            mono = WeylElement.monomial(sig, alpha)
+            for i in range(n):
+                assert mono.partial(i) == weyl.ad(_gen(sig, n + i), mono), (alpha, i)
+                assert mono.partial(n + i) == -weyl.ad(_gen(sig, i), mono), (alpha, i)
 
 
 def test_leibniz_for_partials():
@@ -291,3 +295,62 @@ def test_trusted_results_are_well_formed():
             _assert_clean(x)
             if x.total_degree() > 12:
                 x = y
+
+
+# -- the kernel's swap-row cache, zero operands and the degree-cap bound -------
+
+A30 = WeylSignature(3, 0)
+
+
+def test_cached_swap_rows_match_the_oracle_from_a_cold_cache():
+    rng = Random(209)
+    for sig in (A10, A20, A30):
+        zero = WeylElement.zero(sig)
+        pairs = [(random_weyl(rng, sig, 3, 3), random_weyl(rng, sig, 3, 3))
+                 for _ in range(6)]
+        pairs += [(zero, pairs[0][1]), (pairs[0][0], zero), (zero, zero)]
+        for warm in (False, True):
+            if not warm:
+                weyl._swap_rows.cache_clear()
+            for a, b in pairs:
+                assert weyl_mul(a, b) == oracle_mul(a, b)
+                assert weyl.ad(a, b) == oracle_mul(a, b) - oracle_mul(b, a)
+        assert weyl._swap_rows.cache_info().hits > 0
+
+
+def test_zero_operands_and_p_m_brackets_give_zero():
+    p3 = WeylSignature(0, 3)
+    a = parse_weyl("x1^2*x3 + 2*x2 - 1", p3)
+    assert weyl.ad(a, a * a + a).is_zero()
+    for sig in (A10, A21, p3):
+        zero, one = WeylElement.zero(sig), WeylElement.one(sig)
+        for x in (zero, one, _gen(sig, 0)):
+            assert weyl_mul(zero, x).is_zero() and weyl_mul(x, zero).is_zero()
+            assert weyl.ad(zero, x).is_zero() and weyl.ad(x, zero).is_zero()
+
+
+def test_degree_cap_at_and_one_below_the_result_degree(monkeypatch):
+    # the product of two elements has degree deg a + deg b exactly (the
+    # leading parts multiply commutatively), so the cap is met at that
+    # bound and the scan runs only below it
+    rng = Random(210)
+    for sig in (A10, A20, A30):
+        for _ in range(6):
+            a, b = random_weyl(rng, sig, 3, 3), random_weyl(rng, sig, 3, 3)
+            if a.is_zero() or b.is_zero():
+                continue
+            d = a.total_degree() + b.total_degree()
+            got = weyl_mul(a, b, degree_cap=d)
+            assert got == oracle_mul(a, b) and got.total_degree() == d
+            with pytest.raises(CapExceededError, match=f"degree {d}"):
+                weyl_mul(a, b, degree_cap=d - 1)
+            bracket = weyl.ad(a, b)
+            if bracket.is_zero():
+                continue
+            e = bracket.total_degree()
+            monkeypatch.setattr(weyl, "DEGREE_CAP", e)
+            assert weyl.ad(a, b) == bracket
+            monkeypatch.setattr(weyl, "DEGREE_CAP", e - 1)
+            with pytest.raises(CapExceededError, match=f"degree {e}"):
+                weyl.ad(a, b)
+            monkeypatch.undo()
