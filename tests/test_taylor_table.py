@@ -152,9 +152,10 @@ def test_zero_has_no_coefficients():
 
 def test_stretch_inversion_still_exceeds_the_degree_cap():
     # Nagata composed with a triangular map: degree 10, 37 terms; the
-    # inverse has degree 14.  invert validates the twisted system, which
-    # takes seconds and is skipped here, and then trips DEGREE_CAP in the
-    # Taylor decomposition of x1, on the product where the phi loop tripped.
+    # inverse has degree 14.  The Taylor decomposition of x1 over its
+    # twisted system trips DEGREE_CAP on the product where the phi loop
+    # tripped.  (invert on P_m reads constant terms instead and gets as far
+    # as certification, see tests/test_invert_at_zero.py.)
     inner = verified_map(0, 3, "x1 -> x1; x2 -> x2 + x1^2; x3 -> x3 + x2^2 - x1")
     stretch = aut_compose(verified_map(*NAGATA), inner)
     system = LndSystem(twisted_partials(stretch), list(stretch.images), check=False)
