@@ -23,6 +23,11 @@ table, walked depth first as in ``taylor_decompose`` with no slice product
 The certificate subsumes their constancy check (it passes only if s is an
 automorphism).  For n > 0 (A_n has no character) it is checked explicitly.
 
+``invert`` checks, in order: the walk of each generator's table (its cap
+rule is the nilpotence check), the twisted system's validation fed by that
+walk (``LndSystem._walk_validated``, which keeps every check of the checked
+constructor), ``aut_verify`` of the candidate, and both certification sides.
+
 ``log_aut`` and ``exp_der`` convert between unipotent automorphisms and
 locally nilpotent derivations; ``aut_to_series`` / ``map_to_series`` express
 polynomial automorphisms (and arbitrary tabulated linear maps) as
@@ -270,7 +275,8 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
         inv_delta = Fraction(1) / aut.delta
         weyl_system = None
         if n:
-            weyl_system = LndSystem(list(out), list(aut.images[: 2 * n]))
+            # unchecked: invert validates these directions on the walk's table
+            weyl_system = LndSystem(list(out), list(aut.images[: 2 * n]), check=False)
         for j in range(m):
             parts = []
             for l in range(m):
@@ -307,16 +313,15 @@ def invert(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorph
     certified by composing with the input on both sides.
     """
     sig = aut.signature
-    system = twisted_system(aut, nilpotence_cap=nilpotence_cap)
+    system = LndSystem(twisted_partials(aut), list(aut.images), nilpotence_cap, check=False)
     images = []
-    for i in range(sig.s):
-        gen = WeylElement.generator(sig, i)
+    walk = system.taylor_decompose if sig.n else system._taylor_at_zero
+    for table in system._walk_validated(walk):
         if not sig.n:
-            images.append(WeylElement(sig, system._taylor_at_zero(gen)))
+            images.append(WeylElement(sig, table))
             continue
-        coeffs = system.taylor_decompose(gen)
         terms: dict[MultiIndex, Fraction | int] = {}
-        for alpha, c in coeffs.items():
+        for alpha, c in table.items():
             if not c.is_constant():
                 raise LndError(
                     f"inversion coefficient at alpha={alpha} is not constant; "

@@ -47,7 +47,7 @@ from .errors import CapExceededError, LndError, SignatureMismatchError, UsageErr
 from .formatting import Scalar, canonical
 from .freealg import FreeElement
 from .multiindex import MultiIndex, graded_lex_key, iter_box, multi_factorial
-from .weyl import WeylElement, ad
+from .weyl import WeylElement, ad, combine_partials
 
 Element = CommPoly | WeylElement | FreeElement
 
@@ -133,14 +133,22 @@ class CombinationDerivation:
     Coefficients are rationals or carrier elements acting by left
     multiplication; on a noncommutative carrier they must be central for the
     combination to remain a derivation (checked during system validation).
+
+    Coordinate partials with scalar or central Weyl coefficients are fused:
+    ``apply`` forms sum_l c_l * partial_l(a) in one dict on a Weyl element
+    (``weyl.combine_partials``), and goes piece by piece, as the cap needs,
+    when maxdeg(a) - 1 + maxdeg(c_l) > ``DEGREE_CAP``.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_fused")
 
     def __init__(self, parts: list[tuple[Element | Fraction | int, "DerivationDescriptor"]]):
         self.parts = tuple(parts)
+        self._fused = _prepare_partials(self.parts)
 
     def apply(self, a: Element) -> Element:
+        if self._fused and (out := combine_partials(a, *self._fused)) is not None:
+            return out
         total = None
         for coeff, deriv in self.parts:
             piece = deriv.apply(a)
@@ -156,6 +164,26 @@ class CombinationDerivation:
 
 
 DerivationDescriptor = PartialDerivation | InnerDerivation | CombinationDerivation
+
+
+def _prepare_partials(parts):
+    """(signature or None, rows, top) for ``weyl.combine_partials``, or None if
+    a part is no partial or its coefficient no scalar or central Weyl element."""
+    sigs = {c.signature for c, _ in parts if isinstance(c, WeylElement)}
+    if len(sigs) > 1 or any(type(d) is not PartialDerivation for _, d in parts):
+        return None
+    rows, top = [], 0
+    for c, d in parts:
+        if isinstance(c, WeylElement) and c.is_constant():
+            c = c.constant_term()
+        if isinstance(c, WeylElement) and c.is_central():
+            rows.append((d.index, tuple(c.terms.items())))
+            top = max(top, c.total_degree())
+        elif isinstance(c, (int, Fraction)):
+            rows.append((d.index, ((None, canonical(c)),)))
+        else:
+            return None
+    return next(iter(sigs), None), tuple(rows), top
 
 
 def _central_enough(coeff, probe: Element) -> bool:
@@ -186,7 +214,7 @@ class LndSystem:
     usage error.
     """
 
-    __slots__ = ("derivations", "slices", "nilpotence_cap", "_one", "_zero")
+    __slots__ = ("derivations", "slices", "nilpotence_cap", "_one", "_zero", "_walked")
 
     def __init__(
         self,
@@ -204,6 +232,7 @@ class LndSystem:
         self.nilpotence_cap = nilpotence_cap
         self._one = like_one(slices[0])
         self._zero = like_zero(slices[0])
+        self._walked: dict[tuple[int, ...], Element] | None = None
         if check:
             self._validate()
 
@@ -229,7 +258,9 @@ class LndSystem:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self, walked: list[dict[tuple[int, ...], Element]] | None = None) -> None:
+        """The checks of the class docstring; ``walked`` (``_walk_validated``)
+        supplies d_i(x_q) and d_i d_j(x_q), i < j, and replaces the probe loop."""
         one = self._one
         for i in range(self.s):
             for j, t in enumerate(self.slices):
@@ -260,7 +291,7 @@ class LndSystem:
                             "combination coefficient is not central in the carrier"
                         )
         probes = carrier_generators(self._one)
-        firsts: dict[tuple[int, int], Element] = {}
+        firsts = {(i, q): w[i,] for q, w in enumerate(walked or ()) for i in range(self.s)}
 
         def first(i: int, q: int) -> Element:
             """d_i(probe q), derived once and shared by both probes."""
@@ -271,12 +302,14 @@ class LndSystem:
         for i in range(self.s):
             for j in range(i + 1, self.s):
                 for q, p in enumerate(probes):
-                    left = self.derive(i, first(j, q))
+                    left = walked[q][i, j] if walked else self.derive(i, first(j, q))
                     right = self.derive(j, first(i, q))
                     if left != right:
                         raise LndError(
                             f"derivations {i + 1} and {j + 1} do not commute on {p}"
                         )
+        if walked is not None:
+            return
         for i in range(self.s):
             for q, p in enumerate(probes):
                 cur = p
@@ -290,6 +323,26 @@ class LndSystem:
                         f"cap {self.nilpotence_cap}"
                     )
 
+    def _walk_validated(self, walk):
+        """[walk(x_q) for each generator x_q] (``taylor_decompose`` or
+        ``_taylor_at_zero``), then ``_validate`` on what the walks recorded.  A
+        walk refuses any nonzero entry of order >= cap, d_i^cap(x_q) included,
+        so it fails where the nilpotence probe does.  If a walk raises, the
+        probe validation runs first: an invalid system raises as if checked."""
+        walked, out = [], []
+        try:
+            for x in carrier_generators(self._one):
+                self._walked = {}
+                walked.append(self._walked)
+                out.append(walk(x))
+        except LndError:
+            self._validate()
+            raise
+        finally:
+            self._walked = None
+        self._validate(walked)
+        return out
+
     # -- order ---------------------------------------------------------------
 
     def _check_depth(self, depth: int) -> None:
@@ -298,6 +351,18 @@ class LndSystem:
             raise CapExceededError(
                 f"iterated derivatives of order beyond cap {self.nilpotence_cap}"
             )
+
+    def _walk_derive(self, i: int, b: Element, l: int, tail: MultiIndex) -> Element:
+        """d_i(b), b = d_i^l d^tail(a) with ``tail`` for directions i+1..s;
+        ``_walked`` keeps d_i(a) at (i,) and d_i(d_k a), k > i, at (i, k)."""
+        out = self.derive(i, b)
+        walked = self._walked
+        if walked is not None and not l and sum(tail) < 2:
+            key = (i,) + tuple(k for k, e in enumerate(tail, i + 1) if e)
+            walked[key] = out
+            if len(key) == 1 and out.is_zero():
+                walked.update({(h, i): out for h in range(i)})
+        return out
 
     def _layers(self, a: Element):
         """Yield (grade d, {alpha: d^alpha(a)}) with only nonzero values,
@@ -380,20 +445,20 @@ class LndSystem:
                 tm.append((tm[-1] * self.slices[i]) * Fraction(-1, len(tm)))
             return tm[k]
 
-        for alpha, val in self._staged(self.s, a, 0, slice_term).items():
+        for alpha, val in self._staged(self.s, a, (), slice_term).items():
             f = multi_factorial(alpha)
             c = val if f == 1 else val * Fraction(1, f)
             if not c.is_zero():
                 coeffs[alpha] = c
         return TaylorCoefficients(self.s, coeffs)
 
-    def _staged(self, j: int, b: Element, grade: int, slice_term) -> dict[MultiIndex, Element]:
+    def _staged(self, j: int, b: Element, tail: MultiIndex, slice_term) -> dict[MultiIndex, Element]:
         """{(g_1..g_j): P_j[g_1..g_j]} over the table of b (module docstring).
 
         Each column entry's sub-table is staged and folded into column index
         0, as phi_j would, before the next entry is derived; the other
-        indices are folded once the column ends.  ``grade`` is the order
-        spent in directions above j; ``slice_term(i, k)`` is
+        indices are folded once the column ends.  ``tail`` holds the column
+        indices spent in directions above j; ``slice_term(i, k)`` is
         (-1)^k/k! t_(i+1)^k."""
         if j == 0:
             return {(): b}
@@ -413,12 +478,12 @@ class LndSystem:
                 prev = out.get(key)
                 out[key] = val if prev is None else prev + val
 
-        cur = b
+        cur, grade = b, sum(tail)
         while not cur.is_zero():
             self._check_depth(grade + len(cols))
-            cols.append(self._staged(i, cur, grade + len(cols), slice_term))
+            cols.append(self._staged(i, cur, (len(cols),) + tail, slice_term))
             fold(len(cols) - 1, 0)
-            cur = self.derive(i, cur)
+            cur = self._walk_derive(i, cur, len(cols) - 1, tail)
         for l in range(1, len(cols)):
             for start in range(1, l + 1):
                 fold(l, start)
@@ -446,7 +511,7 @@ class LndSystem:
             while not cur.is_zero():
                 self._check_depth(grade + l)
                 walk(j - 1, cur, grade + l, (l,) + tail)
-                cur = self.derive(j - 1, cur)
+                cur = self._walk_derive(j - 1, cur, l, tail)
                 l += 1
 
         walk(self.s, a, 0, ())

@@ -333,6 +333,11 @@ def weyl_mul(a: WeylElement, b: WeylElement, degree_cap: int | None = None) -> W
     sig = a.signature
     if not a.terms or not b.terms:
         return WeylElement._trusted(sig, {})
+    cap = DEGREE_CAP if degree_cap is None else degree_cap
+    bound = max(map(sum, a.terms)) + max(map(sum, b.terms))
+    for x, y in ((a, b), (b, a)):
+        if bound <= cap and len(x.terms) == 1 and not any(e := next(iter(x.terms))):
+            return y.scale(x.terms[e])  # a constant operand
     n, s = sig.n, sig.s
     out: dict[MultiIndex, Scalar] = {}
     right = [(eb, cb, eb[:n]) for eb, cb in b.terms.items()]
@@ -348,8 +353,7 @@ def weyl_mul(a: WeylElement, b: WeylElement, degree_cap: int | None = None) -> W
                     k = tuple(map(sub, key, drop))
                     c = out.get(k)
                     out[k] = base * factor if c is None else c + base * factor
-    cap = DEGREE_CAP if degree_cap is None else degree_cap
-    return _capped(sig, out, cap, max(map(sum, a.terms)) + max(map(sum, b.terms)))
+    return _capped(sig, out, cap, bound)
 
 
 def ad(u: WeylElement, a: WeylElement) -> WeylElement:
@@ -378,6 +382,29 @@ def ad(u: WeylElement, a: WeylElement) -> WeylElement:
                 c = out.get(k)
                 out[k] = base * factor if c is None else c + base * factor
     return _capped(sig, out, DEGREE_CAP, max(map(sum, u.terms)) + max(map(sum, a.terms)))
+
+
+def combine_partials(a, sig, rows, top: int) -> WeylElement | None:
+    """sum_l c_l * partial_l(a) in one dict, for c_l central (never swapping)
+    of signature ``sig``; ``rows``: (l, terms of c_l, exps None for a scalar);
+    ``top`` >= maxdeg(c_l).  None (go piece by piece) on another carrier or
+    signature, an index out of range, or maxdeg(a) - 1 + top > DEGREE_CAP."""
+    if type(a) is not WeylElement or sig not in (None, a.signature):
+        return None
+    terms, s = a.terms, a.signature.s
+    if any(not 0 <= l < s for l, _ in rows) or (
+            terms and max(map(sum, terms)) - 1 + top > DEGREE_CAP):
+        return None
+    out: dict[MultiIndex, Scalar] = {}
+    for exps, ca in terms.items():
+        for l, pairs in rows:
+            if e := exps[l]:
+                base, v = exps[:l] + (e - 1,) + exps[l + 1:], ca * e
+                for ec, cc in pairs:
+                    key = base if ec is None else tuple(map(add, base, ec))
+                    c = out.get(key)
+                    out[key] = v * cc if c is None else c + v * cc
+    return _capped(a.signature, out, DEGREE_CAP, 0)
 
 
 def central_to_commpoly(a: WeylElement) -> CommPoly:

@@ -1,5 +1,5 @@
-"""Property tests on generated tame automorphisms of P_m (needs hypothesis;
-skipped without it).  Examples are derandomized and few, so the run is fixed
+"""Property tests on generated tame automorphisms of P_m and of A(n, m)
+(needs hypothesis; skipped without it).  Examples are derandomized and few, so the run is fixed
 and short."""
 
 from fractions import Fraction
@@ -9,7 +9,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from lndcalc import LndSystem, WeylElement, invert, twisted_partials  # noqa: E402
+from lndcalc import (  # noqa: E402
+    Automorphism,
+    LndSystem,
+    WeylElement,
+    WeylSignature,
+    aut_compose,
+    aut_verify,
+    invert,
+    twisted_partials,
+)
 from support import tame_poly_map  # noqa: E402
 
 COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
@@ -48,3 +57,69 @@ def test_invert_round_trip_and_the_zero_path_equals_the_table(case):
         expected = {alpha: c.constant_term() for alpha, c in table.items()}
         assert system._taylor_at_zero(x) == expected
         assert WeylElement(sig, expected) == got.images[i]
+
+
+# -- A(n, m): the momentum/coordinate shear and central-shift templates --------
+
+WEYL_SIGNATURES = [WeylSignature(1, 0), WeylSignature(1, 1), WeylSignature(2, 0)]
+
+
+def _shear(sig, kind, f):
+    """One elementary map and its inverse, as in the benchmark's templates:
+    "p" sends x_{n+i} -> x_{n+i} + df/dx_i (f in coordinates and centre),
+    "q" sends x_i -> x_i + df/dx_{n+i} (f in momenta and centre), "z" sends
+    the last central x_s -> x_s + f (f a constant here)."""
+    n = sig.n
+    gens = [WeylElement.generator(sig, i) for i in range(sig.s)]
+    image, back = list(gens), list(gens)
+    if kind == "z":
+        image[-1], back[-1] = gens[-1] + f, gens[-1] - f
+    else:
+        for i in range(n):
+            src, tgt = (i, n + i) if kind == "p" else (n + i, i)
+            g = f.partial(src)
+            image[tgt], back[tgt] = gens[tgt] + g, gens[tgt] - g
+    return aut_verify(sig, image), aut_verify(sig, back)
+
+
+@st.composite
+def weyl_tame_maps(draw, sig):
+    """(map, inverse factors innermost first): one or two shears on ``sig``,
+    each f up to two monomials of degree 2..3, and with a centre maybe a
+    central shift among them (so the images stay of degree <= 4)."""
+    n, centre = sig.n, list(range(2 * sig.n, sig.s))
+    kinds = draw(st.lists(st.sampled_from("pq"), min_size=1, max_size=2))
+    if centre and draw(st.booleans()):
+        kinds.insert(draw(st.integers(0, len(kinds))), "z")
+    pairs = []
+    for kind in kinds:
+        if kind == "z":
+            f = WeylElement.constant(sig, draw(st.sampled_from([1, -2, Fraction(1, 2)])))
+        else:
+            own = list(range(n)) if kind == "p" else list(range(n, 2 * n))
+            f = WeylElement.zero(sig)
+            for _ in range(draw(st.integers(1, 2))):
+                exps = [0] * sig.s
+                for k in draw(st.lists(st.sampled_from(own + centre), min_size=2,
+                                       max_size=3)):
+                    exps[k] += 1
+                f = f + WeylElement.monomial(sig, tuple(exps), draw(COEFFS))
+        pairs.append(_shear(sig, kind, f))
+    aut = pairs[0][0]
+    for step, _ in pairs[1:]:
+        aut = aut_compose(aut, step)
+    return aut, [back for _, back in pairs]
+
+
+@pytest.mark.parametrize("sig", WEYL_SIGNATURES, ids=str)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_invert_on_weyl_shears_is_the_composed_factor_inverse(sig, data):
+    aut, factors = data.draw(weyl_tame_maps(sig))
+    expected = factors[0]
+    for f in factors[1:]:
+        expected = aut_compose(f, expected)
+    got = invert(aut)
+    assert got == expected
+    ident = Automorphism.identity(aut.signature)
+    assert aut_compose(aut, got) == ident == aut_compose(got, aut)

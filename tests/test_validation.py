@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lndcalc import (
+    Automorphism,
     CapExceededError,
     CombinationDerivation,
     CommPoly,
@@ -15,7 +16,10 @@ from lndcalc import (
     UsageError,
     WeylElement,
     WeylSignature,
+    automorphisms,
+    invert,
 )
+from lndcalc.projections import carrier_generators
 from oracle_validate import validate as oracle_validate
 from support import MAP_A11, MAP_A20, NAGATA, twisted_unchecked as _twisted
 
@@ -100,6 +104,79 @@ def test_generator_probes_accept_what_the_old_probes_accept(name):
 def test_generator_probes_reject_what_the_old_probes_reject(name):
     expected, system = _rejected()[name]
     assert _both(system) == (expected, expected)
+
+
+def _walk_fed(system, walk):
+    """Validate from the walks of every generator's table (``walk`` is
+    ``taylor_decompose`` or ``_taylor_at_zero``), as ``invert`` does."""
+    return system._walk_validated(getattr(system, walk))
+
+
+def _records(system, walk):
+    """The entries each generator's walk records, one dict per generator."""
+    walked = []
+    for x in carrier_generators(system._one):
+        system._walked = {}
+        walked.append(system._walked)
+        getattr(system, walk)(x)
+    system._walked = None
+    return walked
+
+
+def _walks(system):
+    one = system._one
+    at_zero = isinstance(one, WeylElement) and one.signature.n == 0
+    return ["taylor_decompose"] + (["_taylor_at_zero"] if at_zero else [])
+
+
+@pytest.mark.parametrize("name", sorted(_accepted()))
+def test_walk_fed_validation_accepts_what_validation_accepts(name):
+    system = _accepted()[name]
+    for walk in _walks(system):
+        assert _verdict(lambda: _walk_fed(system, walk)) is None
+
+
+@pytest.mark.parametrize("name", sorted(_rejected()))
+def test_walk_fed_validation_rejects_what_validation_rejects(name):
+    # "non-constant free coefficient" is also not nilpotent, so its walk
+    # trips the cap; the probe validation then names the coefficient
+    expected, system = _rejected()[name]
+    for walk in _walks(system):
+        assert _verdict(lambda: _walk_fed(system, walk)) == expected
+
+
+def test_walk_fed_nilpotence_follows_the_cap_like_the_probe():
+    x1 = _poly_gens(1)
+    for cap in (0, 1, 2, 3):
+        system = _standard(x1, cap=cap)
+        assert _verdict(lambda: _walk_fed(system, "taylor_decompose")) == _verdict(
+            system._validate)
+
+
+@pytest.mark.parametrize("spec", [NAGATA, MAP_A11, MAP_A20], ids=["nagata", "a11", "a20"])
+def test_walks_record_the_first_derivatives_and_one_side_of_each_commutation(spec):
+    system = _twisted(*spec)
+    s = system.s
+    for walk in _walks(system):
+        for q, record in enumerate(_records(system, walk)):
+            assert len(record) == s + s * (s - 1) // 2
+            x = carrier_generators(system._one)[q]
+            for key, entry in record.items():
+                expected = x
+                for i in reversed(key):
+                    expected = system.derive(i, expected)
+                assert entry == expected, (walk, q, key)
+
+
+def test_invert_validates_the_twisted_system_it_walks(monkeypatch):
+    # a wrong twisted partial on the identity of P_2: d'_2(x1) = x1 != 0
+    sig = WeylSignature(0, 2)
+    x1 = WeylElement.generator(sig, 0)
+    wrong = [PartialDerivation(0),
+             CombinationDerivation([(1, PartialDerivation(1)), (x1, PartialDerivation(0))])]
+    monkeypatch.setattr(automorphisms, "twisted_partials", lambda aut: wrong)
+    with pytest.raises(LndError, match="derivation 2 applied to slice 1"):
+        invert(Automorphism.identity(sig))
 
 
 def test_slice_products_no_longer_raise_the_nilpotence_depth():
