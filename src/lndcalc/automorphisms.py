@@ -314,9 +314,10 @@ def invert(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorph
     """
     sig = aut.signature
     system = LndSystem(twisted_partials(aut), list(aut.images), nilpotence_cap, check=False)
+    gens = system._one.generators()
     images = []
     walk = system.taylor_decompose if sig.n else system._taylor_at_zero
-    for table in system._walk_validated(walk):
+    for table in system._walk_validated(walk, gens):
         if not sig.n:
             images.append(WeylElement(sig, table))
             continue
@@ -330,8 +331,7 @@ def invert(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorph
             terms[alpha] = c.constant_term()
         images.append(WeylElement(sig, terms))
     inverse = aut_verify(sig, images)
-    for i in range(sig.s):
-        gen = WeylElement.generator(sig, i)
+    for i, gen in enumerate(gens):
         if aut.apply(inverse.images[i]) != gen or inverse.apply(aut.images[i]) != gen:
             raise LndError(
                 "inverse candidate fails to compose to the identity; "

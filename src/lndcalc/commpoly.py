@@ -1,11 +1,11 @@
 """Commutative polynomial carrier with optional Laurent variables.
 
-``CommPoly`` is a sparse exact polynomial over the rationals in variables
-x1..xs.  Exponents are non-negative except at positions listed in
-``laurent_mask``, which are invertible (Laurent) variables.  Coefficients
-are ``int`` when integral and ``Fraction`` (denominator > 1) otherwise
-(``formatting.canonical``).  Values are immutable after construction; all
-arithmetic returns new objects.
+``CommPoly(num_vars, terms=None, laurent_mask=frozenset())`` is a sparse
+exact polynomial over the rationals in variables x1..xs, on the shared core
+of ``sparse.SparseElement``.  Exponents are non-negative except at
+positions listed in ``laurent_mask``, which are invertible (Laurent)
+variables; keys are exponent vectors, and a monomial in those variables
+has negative powers.
 """
 
 from __future__ import annotations
@@ -13,124 +13,61 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .errors import LndError, SignatureMismatchError
-from .formatting import Scalar, canonical, render_terms
-from .multiindex import MultiIndex, term_order_key
+from .errors import LndError, SignatureMismatchError, UsageError
+from .formatting import Scalar
+from .multiindex import MultiIndex
+from .sparse import SparseElement
 
 
-class CommPoly:
-    __slots__ = ("num_vars", "laurent_mask", "terms")
+class CommPoly(SparseElement):
+    __slots__ = ()
 
-    def __init__(
-        self,
-        num_vars: int,
-        terms: dict[MultiIndex, Scalar] | None = None,
-        laurent_mask: frozenset[int] = frozenset(),
-    ):
-        mask = frozenset(laurent_mask)
-        clean: dict[MultiIndex, Scalar] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != num_vars:
-                raise SignatureMismatchError(
-                    f"exponent tuple of length {len(exps)}, expected {num_vars}"
-                )
-            for i, e in enumerate(exps):
-                if e < 0 and i not in mask:
-                    raise LndError(f"negative exponent on noninvertible variable x{i + 1}")
-            c = canonical(coeff)
-            if c:
-                clean[exps] = canonical(clean.get(exps, 0) + c)
-                if not clean[exps]:
-                    del clean[exps]
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "laurent_mask", mask)
-        object.__setattr__(self, "terms", clean)
+    num_vars = property(lambda self: self._ctx[0])
+    laurent_mask = property(lambda self: self._ctx[1])
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CommPoly is immutable")
+    @staticmethod
+    def _context(num_vars: int, laurent_mask: frozenset[int] = frozenset()):
+        return num_vars, frozenset(laurent_mask)
 
-    # -- constructors ------------------------------------------------------
+    @staticmethod
+    def _size(ctx) -> int:
+        return ctx[0]
 
-    @classmethod
-    def zero(cls, num_vars: int, laurent_mask: frozenset[int] = frozenset()) -> CommPoly:
-        return cls(num_vars, {}, laurent_mask)
+    @staticmethod
+    def _check_key(ctx, exps: MultiIndex) -> None:
+        num_vars, mask = ctx
+        if len(exps) != num_vars:
+            raise SignatureMismatchError(
+                f"exponent tuple of length {len(exps)}, expected {num_vars}"
+            )
+        for i, e in enumerate(exps):
+            if e < 0 and i not in mask:
+                raise LndError(f"negative exponent on noninvertible variable x{i + 1}")
 
-    @classmethod
-    def constant(
-        cls, num_vars: int, value: Scalar, laurent_mask: frozenset[int] = frozenset()
-    ) -> CommPoly:
-        return cls(num_vars, {(0,) * num_vars: value}, laurent_mask)
-
-    @classmethod
-    def one(cls, num_vars: int, laurent_mask: frozenset[int] = frozenset()) -> CommPoly:
-        return cls.constant(num_vars, 1, laurent_mask)
+    @property
+    def algebra(self) -> str:
+        units = ",".join(f"x{i + 1}" for i in sorted(self.laurent_mask))
+        return f"P_{self.num_vars}" + (f" (Laurent {units})" if units else "")
 
     @classmethod
     def variable(
         cls, num_vars: int, i: int, laurent_mask: frozenset[int] = frozenset()
     ) -> CommPoly:
-        if not 0 <= i < num_vars:
-            raise IndexError(f"variable index {i} out of range")
-        exps = tuple(1 if j == i else 0 for j in range(num_vars))
-        return cls(num_vars, {exps: 1}, laurent_mask)
+        return cls.generator(num_vars, i, laurent_mask)
 
-    @classmethod
-    def monomial(
-        cls,
-        num_vars: int,
-        exponents: MultiIndex,
-        coeff: Scalar = 1,
-        laurent_mask: frozenset[int] = frozenset(),
-    ) -> CommPoly:
-        return cls(num_vars, {tuple(exponents): coeff}, laurent_mask)
+    def is_central(self) -> bool:
+        return True
 
-    # -- queries -----------------------------------------------------------
+    def invertible_indices(self) -> list[int]:
+        return sorted(self.laurent_mask)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.num_vars, 0)
-
-    def total_degree(self) -> int:
-        """Max over terms of the exponent sum; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def sorted_terms(self) -> list[tuple[MultiIndex, Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: term_order_key(t[0]), reverse=True)
-
-    def _check_compatible(self, other: CommPoly) -> None:
-        if self.num_vars != other.num_vars or self.laurent_mask != other.laurent_mask:
-            raise SignatureMismatchError("polynomials live over different variable sets")
+    def homogeneous_keys(self, degree: int) -> list[MultiIndex]:
+        if self.laurent_mask:
+            # a Laurent carrier's graded components are infinite
+            raise UsageError("kernel oracle needs a plain polynomial carrier")
+        return super().homogeneous_keys(degree)
 
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: CommPoly) -> CommPoly:
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            merged[exps] = merged.get(exps, 0) + c
-        return CommPoly(self.num_vars, merged, self.laurent_mask)
-
-    def __sub__(self, other: CommPoly) -> CommPoly:
-        return self + (-other)
-
-    def __neg__(self) -> CommPoly:
-        return CommPoly(
-            self.num_vars, {e: -c for e, c in self.terms.items()}, self.laurent_mask
-        )
-
-    def scale(self, factor: Scalar) -> CommPoly:
-        f = canonical(factor)
-        return CommPoly(
-            self.num_vars, {e: c * f for e, c in self.terms.items()}, self.laurent_mask
-        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -142,17 +79,12 @@ class CommPoly:
                 key = tuple(map(add, ea, eb))
                 acc = out.get(key)
                 out[key] = ca * cb if acc is None else acc + ca * cb
-        return CommPoly(self.num_vars, out, self.laurent_mask)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        return self._from_sums(out)
 
     def __pow__(self, k: int) -> CommPoly:
         if k < 0:
             return self._unit_inverse() ** (-k)
-        out = CommPoly.one(self.num_vars, self.laurent_mask)
+        out = super().__pow__(0)  # the unit
         base = self
         while k:
             if k & 1:
@@ -169,38 +101,9 @@ class CommPoly:
         for i, e in enumerate(exps):
             if e and i not in self.laurent_mask:
                 raise LndError(f"variable x{i + 1} is not invertible")
-        return CommPoly(
-            self.num_vars,
-            {tuple(-e for e in exps): Fraction(1) / coeff},
-            self.laurent_mask,
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CommPoly)
-            and self.num_vars == other.num_vars
-            and self.laurent_mask == other.laurent_mask
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_vars, self.laurent_mask, frozenset(self.terms.items())))
+        return self.like({tuple(-e for e in exps): Fraction(1) / coeff})
 
     # -- calculus ----------------------------------------------------------
-
-    def partial(self, i: int) -> CommPoly:
-        """Formal partial derivative in x_{i+1}; Laurent exponents follow the
-        same power rule (d/dx x^-k = -k x^-k-1)."""
-        if not 0 <= i < self.num_vars:
-            raise IndexError(f"variable index {i} out of range")
-        out: dict[MultiIndex, Scalar] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[key] = out.get(key, 0) + c * e
-        return CommPoly(self.num_vars, out, self.laurent_mask)
 
     def substitute(self, images: list[CommPoly]) -> CommPoly:
         """Simultaneous substitution x_i -> images[i].
@@ -232,24 +135,6 @@ class CommPoly:
             out = out + term
         return out
 
-    # -- text --------------------------------------------------------------
-
-    def _monomial_text(self, exps: MultiIndex) -> str:
-        positive = [(i, e) for i, e in enumerate(exps) if e > 0]
-        negative = [(i, e) for i, e in enumerate(exps) if e < 0]
-        pieces = []
-        for i, e in positive + negative:
-            pieces.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-        return "*".join(pieces)
-
-    def __str__(self) -> str:
-        return render_terms(
-            [(self._monomial_text(e), c) for e, c in self.sorted_terms()]
-        )
-
-    def __repr__(self) -> str:
-        return f"CommPoly({self.num_vars}, {str(self)!r})"
-
 
 def jacobian_det(images: list[CommPoly]) -> CommPoly:
     """det(d images_i / d x_j) over a square system, by cofactor expansion."""
@@ -277,7 +162,4 @@ def _det(rows: list[list[CommPoly]]) -> CommPoly:
         if j % 2:
             piece = -piece
         total = piece if total is None else total + piece
-    if total is None:
-        some = rows[0][0]
-        return CommPoly.zero(some.num_vars, some.laurent_mask)
-    return total
+    return rows[0][0].scale(0) if total is None else total

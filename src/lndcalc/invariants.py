@@ -18,16 +18,13 @@ is tested against.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from .commpoly import CommPoly
 from .errors import LndError, UsageError
-from .freealg import FreeElement
 from .linalg import nullspace, rank
-from .multiindex import MultiIndex, graded_lex_key, iter_box, iter_layer
+from .multiindex import MultiIndex, graded_lex_key, iter_box
 from .projections import (
     NILPOTENCE_CAP,
     CombinationDerivation,
@@ -35,9 +32,7 @@ from .projections import (
     InnerDerivation,
     LndSystem,
     PartialDerivation,
-    like_one,
 )
-from .weyl import WeylElement
 
 
 class GeneratorWitness(NamedTuple):
@@ -142,22 +137,6 @@ def commutative_invariant_images(system: LndSystem, generators: list[Element]) -
 # -- brute-force graded kernel ------------------------------------------------
 
 
-def _degree_basis(one: Element, degree: int) -> tuple[list, Callable[[dict], Element]]:
-    """Monomial keys of the degree component, in basis order, and a
-    constructor from a {key: coefficient} map to a carrier element."""
-    if isinstance(one, CommPoly):
-        if one.laurent_mask:
-            raise UsageError("kernel oracle needs a plain polynomial carrier")
-        return list(iter_layer(one.num_vars, degree)), partial(CommPoly, one.num_vars)
-    if isinstance(one, WeylElement):
-        return list(iter_layer(one.signature.s, degree)), partial(WeylElement, one.signature)
-    k = one.num_gens
-    words: list[tuple[int, ...]] = [()]
-    for _ in range(degree):
-        words = [w + (g,) for w in words for g in range(k)]
-    return words, partial(FreeElement, k)
-
-
 def _coordinates(values: list[Element]) -> tuple[list[dict], list]:
     keys = sorted({k for v in values for k in v.terms})
     return [v.terms for v in values], keys
@@ -168,10 +147,7 @@ def _image_rows(images: list[Element], degree: int) -> list[list[Fraction]]:
     derivation's images of the degree-d monomials, which must be homogeneous
     of degree d - 1."""
     for img in images:
-        if any(
-            (len(k) if isinstance(img, FreeElement) else sum(k)) != degree - 1
-            for k in img.terms
-        ):
+        if not img.degrees() <= {degree - 1}:
             raise UsageError("derivation is not homogeneous of degree -1 on the component")
     terms, keys = _coordinates(images)
     index = {k: r for r, k in enumerate(keys)}
@@ -191,12 +167,13 @@ def graded_kernel_oracle(system: LndSystem, degree: int) -> list[Element]:
     derivation at a time and dropped before the elimination."""
     if degree < 0:
         raise UsageError("degree must be non-negative")
-    monomials, make = _degree_basis(system._one, degree)
+    one = system._one
+    monomials = one.homogeneous_keys(degree)
     rows: list[list[Fraction]] = []
     for i in range(system.s):
-        rows.extend(_image_rows([system.derive(i, make({key: 1})) for key in monomials], degree))
+        rows.extend(_image_rows([system.derive(i, one.like({key: 1})) for key in monomials], degree))
     vectors = nullspace(rows, len(monomials))
-    return [make({key: c for key, c in zip(monomials, vec) if c}) for vec in vectors]
+    return [one.like({key: c for key, c in zip(monomials, vec) if c}) for vec in vectors]
 
 
 def subalgebra_graded_dimension(values: list[Element], degree: int) -> int:
@@ -206,7 +183,7 @@ def subalgebra_graded_dimension(values: list[Element], degree: int) -> int:
     for v in values:
         if v.is_zero() or v.is_constant():
             continue
-        degs = {len(k) if isinstance(v, FreeElement) else sum(k) for k in v.terms}
+        degs = v.degrees()
         if len(degs) != 1:
             raise UsageError("subalgebra dimension helper needs homogeneous values")
         positive.append((v, degs.pop()))
@@ -215,7 +192,7 @@ def subalgebra_graded_dimension(values: list[Element], degree: int) -> int:
     if not positive:
         return 0
     bucket: list[Element] = []
-    frontier: list[tuple[Element, int]] = [(like_one(positive[0][0]), 0)]
+    frontier: list[tuple[Element, int]] = [(positive[0][0] ** 0, 0)]
     while frontier:
         nxt = []
         for p, d in frontier:

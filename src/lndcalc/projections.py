@@ -42,41 +42,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .commpoly import CommPoly
 from .errors import CapExceededError, LndError, SignatureMismatchError, UsageError
 from .formatting import Scalar, canonical
-from .freealg import FreeElement
 from .multiindex import MultiIndex, graded_lex_key, iter_box, multi_factorial
+from .sparse import SparseElement
 from .weyl import WeylElement, ad, combine_partials
 
-Element = CommPoly | WeylElement | FreeElement
+Element = SparseElement
 
 #: Default bound on iterated-derivative depth before declaring non-nilpotence.
 NILPOTENCE_CAP = 256
-
-
-def like_one(x: Element) -> Element:
-    if isinstance(x, CommPoly):
-        return CommPoly.one(x.num_vars, x.laurent_mask)
-    if isinstance(x, WeylElement):
-        return WeylElement.one(x.signature)
-    return FreeElement.one(x.num_gens)
-
-
-def like_zero(x: Element) -> Element:
-    if isinstance(x, CommPoly):
-        return CommPoly.zero(x.num_vars, x.laurent_mask)
-    if isinstance(x, WeylElement):
-        return WeylElement.zero(x.signature)
-    return FreeElement.zero(x.num_gens)
-
-
-def carrier_generators(x: Element) -> list[Element]:
-    if isinstance(x, CommPoly):
-        return [CommPoly.variable(x.num_vars, i, x.laurent_mask) for i in range(x.num_vars)]
-    if isinstance(x, WeylElement):
-        return [WeylElement.generator(x.signature, i) for i in range(x.signature.s)]
-    return [FreeElement.generator(x.num_gens, i) for i in range(x.num_gens)]
 
 
 # -- derivation descriptors -------------------------------------------------
@@ -157,7 +132,7 @@ class CombinationDerivation:
             if not (isinstance(coeff, (int, Fraction)) and coeff == 1):
                 piece = coeff * piece
             total = piece if total is None else total + piece
-        return like_zero(a) if total is None else total
+        return a.scale(0) if total is None else total
 
     def __repr__(self) -> str:
         return f"CombinationDerivation({list(self.parts)!r})"
@@ -184,17 +159,6 @@ def _prepare_partials(parts):
         else:
             return None
     return next(iter(sigs), None), tuple(rows), top
-
-
-def _central_enough(coeff, probe: Element) -> bool:
-    """Left-multiplier coefficients must commute with the carrier."""
-    if isinstance(coeff, (int, Fraction)):
-        return True
-    if isinstance(probe, CommPoly):
-        return True
-    if isinstance(probe, WeylElement):
-        return coeff.is_central()
-    return coeff.is_constant()
 
 
 # -- the system --------------------------------------------------------------
@@ -227,11 +191,13 @@ class LndSystem:
             raise LndError("need equally many derivations and slices, at least one")
         if nilpotence_cap < 0:
             raise UsageError(f"nilpotence cap {nilpotence_cap} is negative")
+        for t in slices[1:]:
+            slices[0]._check_compatible(t)
         self.derivations = tuple(derivations)
         self.slices = tuple(slices)
         self.nilpotence_cap = nilpotence_cap
-        self._one = like_one(slices[0])
-        self._zero = like_zero(slices[0])
+        self._one = slices[0] ** 0
+        self._zero = slices[0].scale(0)
         self._walked: dict[tuple[int, ...], Element] | None = None
         if check:
             self._validate()
@@ -258,10 +224,16 @@ class LndSystem:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self, walked: list[dict[tuple[int, ...], Element]] | None = None) -> None:
-        """The checks of the class docstring; ``walked`` (``_walk_validated``)
+    def _validate(
+        self,
+        walked: list[dict[tuple[int, ...], Element]] | None = None,
+        probes: list[Element] | None = None,
+    ) -> None:
+        """The checks of the class docstring on the carrier generators
+        ``probes`` (built here if not given); ``walked`` (``_walk_validated``)
         supplies d_i(x_q) and d_i d_j(x_q), i < j, and replaces the probe loop."""
         one = self._one
+        probes = probes or one.generators()
         for i in range(self.s):
             for j, t in enumerate(self.slices):
                 got = self.derive(i, t)
@@ -271,26 +243,24 @@ class LndSystem:
                         f"derivation {i + 1} applied to slice {j + 1} gives {got}, "
                         f"expected {expect}"
                     )
-        if isinstance(one, CommPoly):
-            # In a domain every locally nilpotent derivation kills the units
-            # (van den Essen 2000), so each Laurent variable must be a
-            # constant of every d_i.
-            for v in sorted(one.laurent_mask):
-                unit = CommPoly.variable(one.num_vars, v, one.laurent_mask)
-                for i in range(self.s):
-                    if not self.derive(i, unit).is_zero():
-                        raise LndError(
-                            f"derivation {i + 1} does not kill the unit x{v + 1}; "
-                            "a locally nilpotent derivation kills every unit"
-                        )
+        # In a domain every locally nilpotent derivation kills the units
+        # (van den Essen 2000), so each Laurent variable must be a constant
+        # of every d_i.
+        for v in one.invertible_indices():
+            for i in range(self.s):
+                if not self.derive(i, probes[v]).is_zero():
+                    raise LndError(
+                        f"derivation {i + 1} does not kill the unit x{v + 1}; "
+                        "a locally nilpotent derivation kills every unit"
+                    )
         for deriv in self.derivations:
             if isinstance(deriv, CombinationDerivation):
                 for coeff, _ in deriv.parts:
-                    if not _central_enough(coeff, self._one):
+                    # left-multiplier coefficients must commute with the carrier
+                    if not (isinstance(coeff, (int, Fraction)) or coeff.is_central()):
                         raise LndError(
                             "combination coefficient is not central in the carrier"
                         )
-        probes = carrier_generators(self._one)
         firsts = {(i, q): w[i,] for q, w in enumerate(walked or ()) for i in range(self.s)}
 
         def first(i: int, q: int) -> Element:
@@ -323,24 +293,25 @@ class LndSystem:
                         f"cap {self.nilpotence_cap}"
                     )
 
-    def _walk_validated(self, walk):
-        """[walk(x_q) for each generator x_q] (``taylor_decompose`` or
-        ``_taylor_at_zero``), then ``_validate`` on what the walks recorded.  A
-        walk refuses any nonzero entry of order >= cap, d_i^cap(x_q) included,
-        so it fails where the nilpotence probe does.  If a walk raises, the
-        probe validation runs first: an invalid system raises as if checked."""
+    def _walk_validated(self, walk, gens: list[Element]):
+        """[walk(x_q) for each carrier generator x_q in ``gens``]
+        (``taylor_decompose`` or ``_taylor_at_zero``), then ``_validate`` on
+        what the walks recorded.  A walk refuses any nonzero entry of order >=
+        cap, d_i^cap(x_q) included, so it fails where the nilpotence probe
+        does.  If a walk raises, the probe validation runs first: an invalid
+        system raises as if checked."""
         walked, out = [], []
         try:
-            for x in carrier_generators(self._one):
+            for x in gens:
                 self._walked = {}
                 walked.append(self._walked)
                 out.append(walk(x))
         except LndError:
-            self._validate()
+            self._validate(probes=gens)
             raise
         finally:
             self._walked = None
-        self._validate(walked)
+        self._validate(walked, gens)
         return out
 
     # -- order ---------------------------------------------------------------
@@ -602,6 +573,6 @@ def standard_system(
     For a Weyl carrier the partials in the momentum directions have the
     momenta themselves as slices; all 2n + m directions are included.
     """
-    gens = carrier_generators(carrier_one)
+    gens = carrier_one.generators()
     derivs = [PartialDerivation(i) for i in range(len(gens))]
     return LndSystem(derivs, gens, nilpotence_cap=nilpotence_cap)

@@ -25,11 +25,13 @@ The degree cap applies to the normal form.  No term of a product (or
 bracket) exceeds maxdeg(a) + maxdeg(b), so the result is scanned only when
 that bound exceeds the cap; the cap rejects exactly what a full scan would.
 
-Coefficients are exact rationals in one canonical form: an ``int`` when
-integral, a ``Fraction`` with denominator > 1 otherwise
-(``formatting.canonical``), so integer products never build a ``Fraction``.
-Arithmetic results are built by a trusted constructor that skips the
-validation the public constructor applies to outside input.
+``WeylElement(signature, terms=None)`` sits on the shared core of
+``sparse.SparseElement``: exact coefficients in canonical form (an ``int``
+when integral, so integer products never build a ``Fraction``) and a
+trusted constructor for arithmetic results.  Keys are exponent vectors, and
+every partial acts on normal monomials by the power rule; for i < 2n this
+agrees with the inner derivations ad(x_{n+i}) resp. -ad(x_{i-n}) (the test
+suite asserts it).
 
 n = 0 degenerates to the commutative polynomial algebra P_m, which is how
 polynomial automorphisms are represented downstream.
@@ -46,8 +48,9 @@ from operator import add, sub
 
 from .commpoly import CommPoly
 from .errors import CapExceededError, LndError, SignatureMismatchError
-from .formatting import Scalar, canonical, render_terms
-from .multiindex import MultiIndex, multi_factorial, term_order_key
+from .formatting import Scalar, canonical
+from .multiindex import MultiIndex
+from .sparse import SparseElement
 
 #: Default bound on the total degree of any normal form produced by a product.
 DEGREE_CAP = 64
@@ -74,208 +77,36 @@ class WeylSignature(namedtuple("WeylSignature", "n m")):
         return f"A({self.n},{self.m})"
 
 
-class WeylElement:
-    __slots__ = ("signature", "terms")
+class WeylElement(SparseElement):
+    __slots__ = ()
 
-    def __init__(self, signature: WeylSignature, terms: dict[MultiIndex, Scalar] | None = None):
-        clean: dict[MultiIndex, Scalar] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != signature.s:
-                raise SignatureMismatchError(
-                    f"monomial of length {len(exps)} in {signature}"
-                )
-            if any(e < 0 for e in exps):
-                raise LndError("negative exponent in a Weyl monomial")
-            c = canonical(coeff)
-            if c:
-                clean[exps] = canonical(clean.get(exps, 0) + c)
-                if not clean[exps]:
-                    del clean[exps]
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "terms", clean)
+    signature = SparseElement._ctx  # the context slot under its public name
+    _kind = "a Weyl algebra"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
+    @staticmethod
+    def _size(signature: WeylSignature) -> int:
+        return signature.s
 
-    @classmethod
-    def _trusted(cls, signature: WeylSignature, terms: dict[MultiIndex, Scalar]) -> WeylElement:
-        """Wrap terms that are already clean: keys are length-s tuples of
-        non-negative ints, values are nonzero coefficients in canonical form
-        (``formatting.canonical``).  Internal use only."""
-        out = object.__new__(cls)
-        _set_signature(out, signature)
-        _set_terms(out, terms)
-        return out
+    @staticmethod
+    def _check_key(signature: WeylSignature, exps: MultiIndex) -> None:
+        if len(exps) != signature.s:
+            raise SignatureMismatchError(f"monomial of length {len(exps)} in {signature}")
+        if any(e < 0 for e in exps):
+            raise LndError("negative exponent in a Weyl monomial")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, signature: WeylSignature) -> WeylElement:
-        return cls(signature, {})
-
-    @classmethod
-    def constant(cls, signature: WeylSignature, value: Scalar) -> WeylElement:
-        return cls(signature, {(0,) * signature.s: value})
-
-    @classmethod
-    def one(cls, signature: WeylSignature) -> WeylElement:
-        return cls.constant(signature, 1)
-
-    @classmethod
-    def generator(cls, signature: WeylSignature, i: int) -> WeylElement:
-        if not 0 <= i < signature.s:
-            raise IndexError(f"generator index {i} out of range")
-        exps = tuple(1 if j == i else 0 for j in range(signature.s))
-        return cls(signature, {exps: 1})
-
-    @classmethod
-    def monomial(
-        cls, signature: WeylSignature, exponents: MultiIndex, coeff: Scalar = 1
-    ) -> WeylElement:
-        return cls(signature, {tuple(exponents): coeff})
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * self.signature.s, 0)
+    @property
+    def algebra(self) -> str:
+        return str(self.signature)
 
     def is_central(self) -> bool:
         """True when only central generators occur."""
         nn = 2 * self.signature.n
         return all(not any(e[:nn]) for e in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def sorted_terms(self) -> list[tuple[MultiIndex, Scalar]]:
-        return sorted(self.terms.items(), key=lambda t: term_order_key(t[0]), reverse=True)
-
-    def _check_compatible(self, other: WeylElement) -> None:
-        if self.signature != other.signature:
-            raise SignatureMismatchError(
-                f"elements of {self.signature} and {other.signature}"
-            )
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: WeylElement) -> WeylElement:
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            prev = merged.get(exps)
-            if prev is None:
-                merged[exps] = c
-            elif total := prev + c:
-                merged[exps] = canonical(total)
-            else:
-                del merged[exps]
-        return WeylElement._trusted(self.signature, merged)
-
-    def __sub__(self, other: WeylElement) -> WeylElement:
-        return self + (-other)
-
-    def __neg__(self) -> WeylElement:
-        return WeylElement._trusted(self.signature, {e: -c for e, c in self.terms.items()})
-
-    def scale(self, factor: Scalar) -> WeylElement:
-        f = canonical(factor)
-        if not f:
-            return WeylElement._trusted(self.signature, {})
-        return WeylElement._trusted(
-            self.signature, {e: canonical(c * f) for e, c in self.terms.items()}
-        )
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return weyl_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k: int) -> WeylElement:
-        if k < 0:
-            raise LndError("negative powers do not exist in a Weyl algebra")
-        out = WeylElement.one(self.signature)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.signature == other.signature
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.signature, frozenset(self.terms.items())))
-
-    # -- calculus ----------------------------------------------------------
-
-    def partial(self, i: int) -> WeylElement:
-        """The i-th partial derivative.
-
-        On normal monomials every partial acts by the power rule in the i-th
-        exponent; for i < 2n this agrees with the inner derivations
-        ad(x_{n+i}) resp. -ad(x_{i-n}) (the test suite asserts it).
-        """
-        if not 0 <= i < self.signature.s:
-            raise IndexError(f"generator index {i} out of range")
-        out: dict[MultiIndex, Scalar] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            # distinct monomials stay distinct after lowering exponent i
-            out[exps[:i] + (e - 1,) + exps[i + 1:]] = canonical(c * e)
-        return WeylElement._trusted(self.signature, out)
-
-    def multi_partial(self, alpha: MultiIndex, divide: bool = False) -> WeylElement:
-        """Apply d^alpha = prod partial_i^alpha_i; optionally divide by alpha!."""
-        if len(alpha) != self.signature.s:
-            raise SignatureMismatchError("multi-index length does not match signature")
-        out = self
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                out = out.partial(i)
-                if out.is_zero():
-                    break
-        if divide:
-            out = out.scale(Fraction(1, multi_factorial(alpha)))
-        return out
-
-    # -- text --------------------------------------------------------------
-
-    def _monomial_text(self, exps: MultiIndex) -> str:
-        pieces = []
-        for i, e in enumerate(exps):
-            if e:
-                pieces.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-        return "*".join(pieces)
-
-    def __str__(self) -> str:
-        return render_terms(
-            [(self._monomial_text(e), c) for e, c in self.sorted_terms()]
-        )
-
-    def __repr__(self) -> str:
-        return f"WeylElement({self.signature}, {str(self)!r})"
-
-
-_set_signature = WeylElement.signature.__set__
-_set_terms = WeylElement.terms.__set__
 
 
 @functools.lru_cache(maxsize=4096)

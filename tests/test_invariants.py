@@ -178,12 +178,13 @@ def test_oracle_text_matches_the_dense_elimination(monkeypatch, one, degrees):
         assert _kernel_text(system, d) == sparse[d]
         # each basis element is the coordinate vector summed over the
         # monomial basis by carrier arithmetic
-        monomials, make = invariants._degree_basis(system._one, d)
+        one = system._one
+        monomials = one.homogeneous_keys(d)
         summed = []
         for vec in vectors[-1]:
-            total = make({})
+            total = one.like({})
             for c, key in zip(vec, monomials):
-                total = total + make({key: 1}) * c
+                total = total + one.like({key: 1}) * c
             summed.append(str(total))
         assert "\n".join(summed) == sparse[d]
 

@@ -19,7 +19,6 @@ from lndcalc import (
     automorphisms,
     invert,
 )
-from lndcalc.projections import carrier_generators
 from oracle_validate import validate as oracle_validate
 from support import MAP_A11, MAP_A20, NAGATA, twisted_unchecked as _twisted
 
@@ -109,13 +108,13 @@ def test_generator_probes_reject_what_the_old_probes_reject(name):
 def _walk_fed(system, walk):
     """Validate from the walks of every generator's table (``walk`` is
     ``taylor_decompose`` or ``_taylor_at_zero``), as ``invert`` does."""
-    return system._walk_validated(getattr(system, walk))
+    return system._walk_validated(getattr(system, walk), system._one.generators())
 
 
 def _records(system, walk):
     """The entries each generator's walk records, one dict per generator."""
     walked = []
-    for x in carrier_generators(system._one):
+    for x in system._one.generators():
         system._walked = {}
         walked.append(system._walked)
         getattr(system, walk)(x)
@@ -160,7 +159,7 @@ def test_walks_record_the_first_derivatives_and_one_side_of_each_commutation(spe
     for walk in _walks(system):
         for q, record in enumerate(_records(system, walk)):
             assert len(record) == s + s * (s - 1) // 2
-            x = carrier_generators(system._one)[q]
+            x = system._one.generators()[q]
             for key, entry in record.items():
                 expected = x
                 for i in reversed(key):
