@@ -14,9 +14,9 @@ d'_{2n+j} = Delta^{-1} * (cofactor row of the central Jacobian), with slices
 s(x_i), and then certifies the result by composing back.
 
 On P_m (n = 0) the coefficients are constants and evaluation at 0 is a ring
-homomorphism, so with y = s(x)(0) they are scalar sums over the derivative
-table, walked depth first as in ``taylor_decompose`` with no slice product
-(``LndSystem._taylor_at_zero``):
+homomorphism, so with y = s(x)(0) they come from ``taylor_decompose``'s
+staged walk with its entries and slice terms evaluated at 0, which forms no
+slice product (``LndSystem._taylor_at_zero``):
 
     c_alpha = sum_{gamma >= alpha} (d'^gamma x_i)(0) (-y)^(gamma-alpha) / (alpha! (gamma-alpha)!)
 

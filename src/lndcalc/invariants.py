@@ -4,12 +4,14 @@ Weitzenboeck construction.
 Given an LndSystem with slices t1..ts and a generating set y1..yr of the
 carrier, the invariant subalgebra A^d is generated by the witnesses
 
-    z_{w,alpha,i} = w( phi(d^alpha y_i / alpha!) )       alpha_j <= order(y_i)
+    z_{w,alpha,i} = w( phi(d^alpha y_i / alpha!) )       |alpha| <= order(y_i)
     x_{w,j}       = w( t_j )                             1 <= len(w) <= bound
 
 where w runs over words in the monoid generated by ad(t_1)..ad(t_s).  The
-enumeration keeps nonzero values only, deduplicates equal values, and checks
-kernel membership of everything it returns.
+bases phi(d^alpha y_i / alpha!) are the Taylor coefficients c_alpha of y_i,
+read off one ``taylor_decompose(y_i)`` and taken in tuple order of alpha.
+The enumeration keeps nonzero values only, deduplicates equal values (the
+first one taken stays), and checks kernel membership of everything it returns.
 
 ``graded_kernel_oracle`` independently computes the joint kernel on a single
 homogeneous component by exact linear algebra, which is what the enumeration
@@ -24,7 +26,7 @@ from typing import NamedTuple
 from .commpoly import CommPoly
 from .errors import LndError, UsageError
 from .linalg import nullspace, rank
-from .multiindex import MultiIndex, graded_lex_key, iter_box
+from .multiindex import MultiIndex, graded_lex_key
 from .projections import (
     NILPOTENCE_CAP,
     CombinationDerivation,
@@ -110,11 +112,7 @@ def enumerate_generators(
     for idx, y in enumerate(generators):
         if y.is_zero():
             raise UsageError("generators must be nonzero")
-        ord_y = system.order(y)
-        for alpha in iter_box((ord_y,) * s):
-            base = system.phi(system.multi_derive(alpha, y, divide=True))
-            if base.is_zero():
-                continue
+        for alpha, base in sorted(system.taylor_decompose(y).coeffs.items()):
             extend_by_words("z", alpha, idx, base, word_bound, 0)
     for j, t in enumerate(system.slices):
         extend_by_words("x", None, j, t, word_bound, 1)
@@ -126,12 +124,6 @@ def relation_check(system: LndSystem, candidate: Element) -> bool:
     """True when the candidate collapses under phi, i.e. lies in the left
     ideal generated by the slices (the kernel of the projection)."""
     return system.phi(candidate).is_zero()
-
-
-def commutative_invariant_images(system: LndSystem, generators: list[Element]) -> list[Element]:
-    """phi images of a generating set; over a commutative carrier phi is an
-    algebra epimorphism onto A^d, so these generate the invariant ring."""
-    return [system.phi(y) for y in generators]
 
 
 # -- brute-force graded kernel ------------------------------------------------

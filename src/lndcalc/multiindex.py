@@ -7,7 +7,6 @@ entries; the helpers that require non-negativity say so.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator
 
@@ -41,11 +40,6 @@ def iter_upto(s: int, bound: int) -> Iterator[MultiIndex]:
     """All alpha in N^s with |alpha| <= bound, by increasing |alpha|."""
     for total in range(bound + 1):
         yield from iter_layer(s, total)
-
-
-def iter_box(bounds: tuple[int, ...]) -> Iterator[MultiIndex]:
-    """All alpha with 0 <= alpha_i <= bounds_i, componentwise."""
-    yield from itertools.product(*(range(b + 1) for b in bounds))
 
 
 def graded_lex_key(alpha: MultiIndex) -> tuple:

@@ -24,7 +24,7 @@ left coefficients read off one table of iterated derivatives d^gamma a:
     c_alpha = sum_beta (-1)^|beta| t_s^beta_s ... t_1^beta_1 d^(alpha+beta) a
               / (alpha! beta!)
 
-``taylor_decompose`` stages this one direction at a time,
+The one walk of this table, ``_staged``, stages it direction by direction,
 
     P_0[g] = d^g a,   P_j[g] = sum_k (-1)^k/k! t_j^k P_(j-1)[g + k e_j],
 
@@ -33,18 +33,22 @@ formed once.  The table is walked depth first, direction s outermost and
 direction 1 innermost, and each column b, d_j b, d_j^2 b, ... is derived
 lazily: an entry's sub-table is staged before the next entry is derived,
 so the products of phi_1 form in the same order as in phi(a), and a cap
-error stops the walk before the rest of the table exists.  The slice powers
-t_j^k are formed once per call.
+error stops the walk before the rest of the table exists.  Each consumer
+folds this walk: ``taylor_decompose`` takes the entries and slice powers
+(formed once per call) as they are; ``_taylor_at_zero``, the P_m inversion
+of ``automorphisms.invert``, takes both evaluated at 0, a ring homomorphism
+on P_m; ``order`` keeps the largest |gamma|.  The ``z`` witnesses of
+``invariants`` are the c_alpha.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 from .errors import CapExceededError, LndError, SignatureMismatchError, UsageError
 from .formatting import Scalar, canonical
-from .multiindex import MultiIndex, graded_lex_key, iter_box, multi_factorial
+from .multiindex import MultiIndex, graded_lex_key, multi_factorial
 from .sparse import SparseElement
 from .weyl import WeylElement, ad, combine_partials
 
@@ -209,19 +213,6 @@ class LndSystem:
     def derive(self, i: int, a: Element) -> Element:
         return self.derivations[i].apply(a)
 
-    def multi_derive(self, alpha: MultiIndex, a: Element, divide: bool = False) -> Element:
-        if len(alpha) != self.s:
-            raise SignatureMismatchError("multi-index length does not match the system")
-        out = a
-        for i, k in enumerate(alpha):
-            for _ in range(k):
-                out = self.derive(i, out)
-                if out.is_zero():
-                    break
-        if divide:
-            out = out * Fraction(1, multi_factorial(alpha))
-        return out
-
     # -- validation --------------------------------------------------------
 
     def _validate(
@@ -314,7 +305,7 @@ class LndSystem:
         self._validate(walked, gens)
         return out
 
-    # -- order ---------------------------------------------------------------
+    # -- the table walk ------------------------------------------------------
 
     def _check_depth(self, depth: int) -> None:
         """A table entry of order ``depth`` may be derived once more."""
@@ -335,55 +326,31 @@ class LndSystem:
                 walked.update({(h, i): out for h in range(i)})
         return out
 
-    def _layers(self, a: Element):
-        """Yield (grade d, {alpha: d^alpha(a)}) with only nonzero values,
-        stopping after the last nonzero layer."""
-        zero_alpha = (0,) * self.s
-        layer = {zero_alpha: a}
-        d = 0
-        while layer:
-            yield d, layer
-            self._check_depth(d)
-            nxt: dict[MultiIndex, Element] = {}
-            for alpha, val in layer.items():
-                first = next((k for k, e in enumerate(alpha) if e), self.s)
-                for i in range(min(first, self.s - 1) + 1):
-                    derived = self.derive(i, val)
-                    if not derived.is_zero():
-                        beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                        nxt[beta] = derived
-            layer = nxt
-            d += 1
-
     def order(self, a: Element) -> int:
-        """Largest |alpha| with d^alpha(a) != 0."""
+        """Largest |alpha| with d^alpha(a) != 0: with zero slice terms the
+        walk leaves each nonzero entry at its own index."""
         if a.is_zero():
             raise LndError("the zero element has no order")
-        last = 0
-        for d, _ in self._layers(a):
-            last = d
-        return last
+        return max(map(sum, self._coefficients(a, [0] * self.s, lambda tail, b: 1)))
 
     # -- projections ---------------------------------------------------------
 
     def _project_single(self, i: int, a: Element, left: bool) -> Element:
-        total = a
-        cur = a
+        """phi_i(a) (``left``) or psi_i(a), under the table walk's cap rule."""
+        total = cur = a
         power = self._one
         k = 0
-        while True:
+        while not cur.is_zero():
+            self._check_depth(k)
             cur = self.derive(i, cur)
             if cur.is_zero():
-                return total
+                break
             k += 1
-            if k > self.nilpotence_cap:
-                raise CapExceededError(
-                    f"projection series for derivation {i + 1} exceeded cap"
-                )
             power = power * self.slices[i]
             coeff = Fraction((-1) ** k, factorial(k))
             piece = power * cur if left else cur * power
             total = total + piece * coeff
+        return total
 
     def phi(self, a: Element) -> Element:
         """Left projection onto A^d: phi = phi_s ... phi_1 (phi_1 first)."""
@@ -404,47 +371,58 @@ class LndSystem:
     def taylor_decompose(self, a: Element) -> TaylorCoefficients:
         """The coefficient map alpha -> phi(d^alpha a / alpha!), zeros dropped,
         read off one table of iterated derivatives (see the module docstring)."""
-        coeffs: dict[MultiIndex, Element] = {}
-        if a.is_zero():
-            return TaylorCoefficients(self.s, coeffs)
-        terms = [[self._one, -t] for t in self.slices]
+        return TaylorCoefficients(self.s, self._coefficients(a, self.slices, lambda tail, b: b))
 
-        def slice_term(i: int, k: int) -> Element:
+    def _taylor_at_zero(self, a: Element) -> dict[MultiIndex, Scalar]:
+        """{alpha: c_alpha(0)} for the coefficients of ``taylor_decompose(a)``,
+        zeros dropped, on P_m (see the module docstring)."""
+        table = self._coefficients(
+            a, [t.constant_term() for t in self.slices], lambda tail, b: b.constant_term()
+        )
+        return {alpha: canonical(c) for alpha, c in table.items() if c}
+
+    def _coefficients(self, a: Element, slices, leaf) -> dict:
+        """{alpha: P_s[alpha] / alpha!} with table entries read as
+        ``leaf(gamma, d^gamma a)`` and slices ``slices`` (elements or scalars)."""
+        terms = [[t ** 0, -t] for t in slices]
+
+        def slice_term(i: int, k: int):
             """(-1)^k/k! t_i^k, each formed once per call."""
             tm = terms[i]
             while len(tm) <= k:
-                tm.append((tm[-1] * self.slices[i]) * Fraction(-1, len(tm)))
+                tm.append((tm[-1] * slices[i]) * Fraction(-1, len(tm)))
             return tm[k]
 
-        for alpha, val in self._staged(self.s, a, (), slice_term).items():
+        out = {}
+        for alpha, val in self._staged(self.s, a, (), slice_term, leaf).items():
             f = multi_factorial(alpha)
-            c = val if f == 1 else val * Fraction(1, f)
-            if not c.is_zero():
-                coeffs[alpha] = c
-        return TaylorCoefficients(self.s, coeffs)
+            out[alpha] = val if f == 1 else val * Fraction(1, f)
+        return out
 
-    def _staged(self, j: int, b: Element, tail: MultiIndex, slice_term) -> dict[MultiIndex, Element]:
+    def _staged(self, j: int, b: Element, tail: MultiIndex, slice_term, leaf) -> dict:
         """{(g_1..g_j): P_j[g_1..g_j]} over the table of b (module docstring).
 
         Each column entry's sub-table is staged and folded into column index
         0, as phi_j would, before the next entry is derived; the other
         indices are folded once the column ends.  ``tail`` holds the column
         indices spent in directions above j; ``slice_term(i, k)`` is
-        (-1)^k/k! t_(i+1)^k."""
+        (-1)^k/k! t_(i+1)^k, and ``leaf(gamma, d^gamma a)`` is the value of a
+        nonzero table entry (P_0)."""
         if j == 0:
-            return {(): b}
+            return {(): leaf(tail, b)}
         i = j - 1
-        out: dict[MultiIndex, Element] = {}
-        cols: list[dict[MultiIndex, Element] | None] = []
+        out: dict = {}
+        cols: list[dict | None] = []
 
         def fold(l: int, start: int) -> None:
             # P_j[g, start] += (-1)^k/k! t_j^k P_(j-1)[g, l] with k = l - start
             k = l - start
+            term = slice_term(i, k)
+            if term == 0:  # a zero slice value (t_j(0) = 0, or order's) adds nothing
+                return
             for sub, val in cols[l].items():
-                if val.is_zero():
-                    continue
                 if k:
-                    val = slice_term(i, k) * val
+                    val = term * val
                 key = sub + (start,)
                 prev = out.get(key)
                 out[key] = val if prev is None else prev + val
@@ -452,7 +430,7 @@ class LndSystem:
         cur, grade = b, sum(tail)
         while not cur.is_zero():
             self._check_depth(grade + len(cols))
-            cols.append(self._staged(i, cur, (len(cols),) + tail, slice_term))
+            cols.append(self._staged(i, cur, (len(cols),) + tail, slice_term, leaf))
             fold(len(cols) - 1, 0)
             cur = self._walk_derive(i, cur, len(cols) - 1, tail)
         for l in range(1, len(cols)):
@@ -460,41 +438,6 @@ class LndSystem:
                 fold(l, start)
             cols[l] = None
         return out
-
-    def _taylor_at_zero(self, a: Element) -> dict[MultiIndex, Scalar]:
-        """{alpha: c_alpha(0)} for the coefficients of ``taylor_decompose(a)``,
-        zeros dropped, on a carrier where evaluation at 0 is a ring
-        homomorphism (P_m).  With v_gamma = (d^gamma a)(0) and y = t(0):
-
-            c_alpha(0) = sum_{gamma >= alpha} v_gamma (-y)^(gamma - alpha)
-                         / (alpha! (gamma - alpha)!).
-
-        The table is walked as ``_staged`` walks it (same derivatives, same
-        depth-first order, same cap); no slice power or product is formed."""
-        values: dict[MultiIndex, Scalar] = {}
-
-        def walk(j: int, b: Element, grade: int, tail: MultiIndex) -> None:
-            if j == 0:
-                if v := b.constant_term():
-                    values[tail] = v
-                return
-            cur, l = b, 0
-            while not cur.is_zero():
-                self._check_depth(grade + l)
-                walk(j - 1, cur, grade + l, (l,) + tail)
-                cur = self._walk_derive(j - 1, cur, l, tail)
-                l += 1
-
-        walk(self.s, a, 0, ())
-        neg_y = [-t.constant_term() for t in self.slices]
-        sums: dict[MultiIndex, Fraction] = {}
-        for gamma, v in values.items():
-            for beta in iter_box(tuple(g if y else 0 for g, y in zip(gamma, neg_y))):
-                alpha = tuple(g - b for g, b in zip(gamma, beta))
-                num = v * prod(y**b for y, b in zip(neg_y, beta))
-                term = Fraction(num, multi_factorial(alpha) * multi_factorial(beta))
-                sums[alpha] = sums.get(alpha, 0) + term
-        return {alpha: canonical(c) for alpha, c in sums.items() if c}
 
     def slice_monomial(self, alpha: MultiIndex) -> Element:
         """t^alpha = t_1^a1 * ... * ts^as, factors in system order."""

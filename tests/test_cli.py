@@ -90,6 +90,18 @@ def test_project_and_taylor(capsys):
         (0, "alpha=(0,0): 1\nalpha=(1,1): 1\n")
 
 
+def test_project_taylor_and_invariants_share_the_cap_rule(capsys):
+    # x1^2 has order 2: a nonzero entry of order >= cap is refused by phi,
+    # psi, the Taylor table and the witness walk alike
+    refused = (1, "ERROR cap: iterated derivatives of order beyond cap 2\n")
+    for argv in (["project", "x1^2"], ["project", "--map", "psi", "x1^2"],
+                 ["taylor", "x1^2"], ["invariants", "--gens", "x1^2"]):
+        assert run(capsys, argv[:1] + ["--poly", "1", "--cap", "2"] + argv[1:]) == refused
+    assert run(capsys, ["project", "--poly", "1", "--cap", "3", "x1^2"]) == (0, "0\n")
+    assert run(capsys, ["taylor", "--poly", "1", "--cap", "3", "x1^2"]) == \
+        (0, "alpha=(2): 1\n")
+
+
 def test_verify_and_compose(capsys):
     code, out = run(capsys, [
         "verify", "--n", "0", "--m", "2", "--aut", "x1 -> x1 + 1; x2 -> x2 + x1",

@@ -5,7 +5,6 @@ from random import Random
 
 from lndcalc.multiindex import (
     graded_lex_key,
-    iter_box,
     iter_layer,
     iter_upto,
     multi_factorial,
@@ -27,12 +26,6 @@ def test_iter_upto_is_union_of_layers_by_degree():
     got = list(iter_upto(2, 3))
     expected = [a for d in range(4) for a in iter_layer(2, d)]
     assert got == expected
-
-
-def test_iter_box_covers_the_full_box():
-    box = list(iter_box((1, 2)))
-    assert set(box) == {(i, j) for i in range(2) for j in range(3)}
-    assert len(box) == 6
 
 
 def test_factorial_and_total():

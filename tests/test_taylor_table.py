@@ -10,6 +10,7 @@ from lndcalc import (
     FreeElement,
     LndError,
     LndSystem,
+    NILPOTENCE_CAP,
     PartialDerivation,
     WeylElement,
     WeylSignature,
@@ -19,6 +20,7 @@ from lndcalc import (
     twisted_partials,
     twisted_system,
 )
+from oracle_taylor import layers
 from oracle_taylor import taylor_decompose as oracle_taylor
 from support import (
     MAP_A11,
@@ -120,7 +122,7 @@ def test_each_table_entry_is_derived_once_and_phi_is_not_called(name, monkeypatc
     monkeypatch.setattr(LndSystem, "phi", no_phi)
     for a in elements:
         calls.clear()
-        for _ in system._layers(a):
+        for _ in layers(system, a):
             pass
         walk = len(calls)
         calls.clear()
@@ -141,8 +143,34 @@ def test_nilpotence_cap_below_and_at_the_order_raises_like_the_layer_walk(name):
             capped = LndSystem(list(system.derivations), list(system.slices),
                                nilpotence_cap=cap, check=False)
             expected = None if cap > order else CapExceededError
-            assert _verdict(lambda: list(capped._layers(a))) == expected
+            assert _verdict(lambda: list(layers(capped, a))) == expected
             assert _verdict(lambda: capped.taylor_decompose(a)) == expected
+            assert _verdict(lambda: capped.order(a)) == expected
+            # phi and psi form only the powers d_i^k, never the mixed entries
+            for project in (capped.phi, capped.psi):
+                assert _verdict(lambda: project(a)) in (None, expected)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_phi_psi_order_and_the_table_share_one_cap_rule_on_each_direction(name):
+    """Each walk refuses a nonzero derivative of order >= cap; on one
+    direction phi_i and psi_i form every entry of the table, so the four
+    verdicts agree at caps one below, at and one above the order."""
+    system, elements = _elements(name, count=2)
+    for a in elements:
+        for i in range(system.s):
+            def single(cap):
+                return LndSystem([system.derivations[i]], [system.slices[i]],
+                                 nilpotence_cap=cap, check=False)
+
+            order = single(NILPOTENCE_CAP).order(a)
+            for cap in (order - 1, order, order + 1):
+                if cap < 0:
+                    continue
+                capped = single(cap)
+                expected = None if cap > order else CapExceededError
+                for walk in (capped.phi, capped.psi, capped.order, capped.taylor_decompose):
+                    assert _verdict(lambda: walk(a)) == expected, (name, i, cap, walk)
 
 
 def test_zero_has_no_coefficients():
