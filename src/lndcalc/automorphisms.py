@@ -20,13 +20,15 @@ slice product (``LndSystem._taylor_at_zero``):
 
     c_alpha = sum_{gamma >= alpha} (d'^gamma x_i)(0) (-y)^(gamma-alpha) / (alpha! (gamma-alpha)!)
 
-The certificate subsumes their constancy check (it passes only if s is an
-automorphism).  For n > 0 (A_n has no character) it is checked explicitly.
+For n > 0 each coefficient's constant term is read off.
 
 ``invert`` checks, in order: the walk of each generator's table (its cap
-rule is the nilpotence check), the twisted system's validation fed by that
-walk (``LndSystem._walk_validated``, which keeps every check of the checked
-constructor), ``aut_verify`` of the candidate, and both certification sides.
+rule is the nilpotence check), ``aut_verify`` of the candidate t, and both
+certification sides, s(t(x_i)) = x_i and t(s(x_i)) = x_i for every i.  With
+s and t both endomorphisms this makes t = s^{-1} however t was built, so the
+twisted system is never validated: a wrong twisted partial, a non-constant
+coefficient or an input that is no automorphism gives a candidate that one
+of these checks rejects.
 
 ``log_aut`` and ``exp_der`` convert between unipotent automorphisms and
 locally nilpotent derivations; ``aut_to_series`` / ``map_to_series`` express
@@ -275,7 +277,7 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
         inv_delta = Fraction(1) / aut.delta
         weyl_system = None
         if n:
-            # unchecked: invert validates these directions on the walk's table
+            # unchecked: invert's certificate covers these directions
             weyl_system = LndSystem(list(out), list(aut.images[: 2 * n]), check=False)
         for j in range(m):
             parts = []
@@ -308,29 +310,18 @@ def twisted_system(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> L
 def invert(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorphism:
     """Inversion formula: s^{-1}(x_i) = sum_alpha x^alpha phi'(d'^alpha x_i / alpha!).
 
-    Every coefficient must be a rational constant (on P_m they are evaluated
-    at 0, see the module docstring); the candidate inverse is verified and
-    certified by composing with the input on both sides.
+    Each coefficient contributes its constant term (on P_m the table is
+    evaluated at 0, see the module docstring); the candidate inverse is
+    verified and certified by composing with the input on both sides.
     """
     sig = aut.signature
     system = LndSystem(twisted_partials(aut), list(aut.images), nilpotence_cap, check=False)
     gens = system._one.generators()
-    images = []
     walk = system.taylor_decompose if sig.n else system._taylor_at_zero
-    for table in system._walk_validated(walk, gens):
-        if not sig.n:
-            images.append(WeylElement(sig, table))
-            continue
-        terms: dict[MultiIndex, Fraction | int] = {}
-        for alpha, c in table.items():
-            if not c.is_constant():
-                raise LndError(
-                    f"inversion coefficient at alpha={alpha} is not constant; "
-                    "the images do not define an automorphism"
-                )
-            terms[alpha] = c.constant_term()
-        images.append(WeylElement(sig, terms))
-    inverse = aut_verify(sig, images)
+    tables = [walk(x) for x in gens]
+    if sig.n:
+        tables = [{alpha: c.constant_term() for alpha, c in t.items()} for t in tables]
+    inverse = aut_verify(sig, [WeylElement(sig, t) for t in tables])
     for i, gen in enumerate(gens):
         if aut.apply(inverse.images[i]) != gen or inverse.apply(aut.images[i]) != gen:
             raise LndError(

@@ -182,7 +182,7 @@ class LndSystem:
     usage error.
     """
 
-    __slots__ = ("derivations", "slices", "nilpotence_cap", "_one", "_zero", "_walked")
+    __slots__ = ("derivations", "slices", "nilpotence_cap", "_one", "_zero")
 
     def __init__(
         self,
@@ -202,7 +202,6 @@ class LndSystem:
         self.nilpotence_cap = nilpotence_cap
         self._one = slices[0] ** 0
         self._zero = slices[0].scale(0)
-        self._walked: dict[tuple[int, ...], Element] | None = None
         if check:
             self._validate()
 
@@ -215,16 +214,10 @@ class LndSystem:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(
-        self,
-        walked: list[dict[tuple[int, ...], Element]] | None = None,
-        probes: list[Element] | None = None,
-    ) -> None:
-        """The checks of the class docstring on the carrier generators
-        ``probes`` (built here if not given); ``walked`` (``_walk_validated``)
-        supplies d_i(x_q) and d_i d_j(x_q), i < j, and replaces the probe loop."""
+    def _validate(self) -> None:
+        """The checks of the class docstring on the carrier generators."""
         one = self._one
-        probes = probes or one.generators()
+        probes = one.generators()
         for i in range(self.s):
             for j, t in enumerate(self.slices):
                 got = self.derive(i, t)
@@ -252,10 +245,10 @@ class LndSystem:
                         raise LndError(
                             "combination coefficient is not central in the carrier"
                         )
-        firsts = {(i, q): w[i,] for q, w in enumerate(walked or ()) for i in range(self.s)}
+        firsts: dict[tuple[int, int], Element] = {}
 
         def first(i: int, q: int) -> Element:
-            """d_i(probe q), derived once and shared by both probes."""
+            """d_i(probe q), derived once and shared by both loops below."""
             if (i, q) not in firsts:
                 firsts[i, q] = self.derive(i, probes[q])
             return firsts[i, q]
@@ -263,14 +256,10 @@ class LndSystem:
         for i in range(self.s):
             for j in range(i + 1, self.s):
                 for q, p in enumerate(probes):
-                    left = walked[q][i, j] if walked else self.derive(i, first(j, q))
-                    right = self.derive(j, first(i, q))
-                    if left != right:
+                    if self.derive(i, first(j, q)) != self.derive(j, first(i, q)):
                         raise LndError(
                             f"derivations {i + 1} and {j + 1} do not commute on {p}"
                         )
-        if walked is not None:
-            return
         for i in range(self.s):
             for q, p in enumerate(probes):
                 cur = p
@@ -284,27 +273,6 @@ class LndSystem:
                         f"cap {self.nilpotence_cap}"
                     )
 
-    def _walk_validated(self, walk, gens: list[Element]):
-        """[walk(x_q) for each carrier generator x_q in ``gens``]
-        (``taylor_decompose`` or ``_taylor_at_zero``), then ``_validate`` on
-        what the walks recorded.  A walk refuses any nonzero entry of order >=
-        cap, d_i^cap(x_q) included, so it fails where the nilpotence probe
-        does.  If a walk raises, the probe validation runs first: an invalid
-        system raises as if checked."""
-        walked, out = [], []
-        try:
-            for x in gens:
-                self._walked = {}
-                walked.append(self._walked)
-                out.append(walk(x))
-        except LndError:
-            self._validate(probes=gens)
-            raise
-        finally:
-            self._walked = None
-        self._validate(walked, gens)
-        return out
-
     # -- the table walk ------------------------------------------------------
 
     def _check_depth(self, depth: int) -> None:
@@ -313,18 +281,6 @@ class LndSystem:
             raise CapExceededError(
                 f"iterated derivatives of order beyond cap {self.nilpotence_cap}"
             )
-
-    def _walk_derive(self, i: int, b: Element, l: int, tail: MultiIndex) -> Element:
-        """d_i(b), b = d_i^l d^tail(a) with ``tail`` for directions i+1..s;
-        ``_walked`` keeps d_i(a) at (i,) and d_i(d_k a), k > i, at (i, k)."""
-        out = self.derive(i, b)
-        walked = self._walked
-        if walked is not None and not l and sum(tail) < 2:
-            key = (i,) + tuple(k for k, e in enumerate(tail, i + 1) if e)
-            walked[key] = out
-            if len(key) == 1 and out.is_zero():
-                walked.update({(h, i): out for h in range(i)})
-        return out
 
     def order(self, a: Element) -> int:
         """Largest |alpha| with d^alpha(a) != 0: with zero slice terms the
@@ -336,7 +292,9 @@ class LndSystem:
     # -- projections ---------------------------------------------------------
 
     def _project_single(self, i: int, a: Element, left: bool) -> Element:
-        """phi_i(a) (``left``) or psi_i(a), under the table walk's cap rule."""
+        """phi_i(a) (``left``) or psi_i(a).  The cap bounds the power k of
+        d_i alone, while the table walk bounds the total order |gamma|, so on
+        s > 1 phi and psi can answer where ``taylor_decompose`` hits the cap."""
         total = cur = a
         power = self._one
         k = 0
@@ -432,7 +390,7 @@ class LndSystem:
             self._check_depth(grade + len(cols))
             cols.append(self._staged(i, cur, (len(cols),) + tail, slice_term, leaf))
             fold(len(cols) - 1, 0)
-            cur = self._walk_derive(i, cur, len(cols) - 1, tail)
+            cur = self.derive(i, cur)
         for l in range(1, len(cols)):
             for start in range(1, l + 1):
                 fold(l, start)

@@ -70,9 +70,6 @@ class WeylSignature(namedtuple("WeylSignature", "n m")):
     def s(self) -> int:
         return 2 * self.n + self.m
 
-    def is_central_index(self, i: int) -> bool:
-        return i >= 2 * self.n
-
     def __str__(self) -> str:
         return f"A({self.n},{self.m})"
 

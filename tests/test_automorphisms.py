@@ -259,6 +259,21 @@ def test_invert_rejects_forged_images():
         invert(bogus)
 
 
+@pytest.mark.parametrize("sig, text, error, message", [
+    (A10, "x1 -> 2*x1; x2 -> x2", RelationError, r"\[s\(x2\),s\(x1\)\] != 1"),
+    (P1, "x1 -> 2*x1", LndError, "fails to compose to the identity"),
+    (P2, "x1 -> x1 + x2^2; x2 -> x2 + x1^2", JacobianError, "is not a nonzero constant"),
+    (A11, "x1 -> x1*x3; x2 -> x2; x3 -> x3", CapExceededError, "degree cap"),
+], ids=["relation", "certificate", "jacobian", "cap"])
+def test_invert_of_a_non_automorphism_marked_verified_raises(sig, text, error, message):
+    # the twisted system is not validated: the candidate built from it is
+    # what aut_verify or the certificate rejects
+    forged = Automorphism(sig, parse_images(text, WeylCarrier(sig)), verified=True)
+    with pytest.raises(error, match=message) as info:
+        invert(forged)
+    assert type(info.value) is error
+
+
 # -- composition ------------------------------------------------------------------
 
 

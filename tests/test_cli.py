@@ -102,6 +102,16 @@ def test_project_taylor_and_invariants_share_the_cap_rule(capsys):
         (0, "alpha=(2): 1\n")
 
 
+def test_on_two_directions_phi_caps_each_power_and_the_table_the_total_order(capsys):
+    # x1*x2 needs d_1 and d_2 once each: phi_1 and phi_2 stay within cap 2,
+    # while the table's entry d_1 d_2 (x1*x2) = 1 has total order 2
+    refused = (1, "ERROR cap: iterated derivatives of order beyond cap 2\n")
+    flags = ["--poly", "2", "--cap", "2"]
+    assert run(capsys, ["project"] + flags + ["x1*x2"]) == (0, "0\n")
+    assert run(capsys, ["taylor"] + flags + ["x1*x2"]) == refused
+    assert run(capsys, ["invariants"] + flags + ["--gens", "x1*x2"]) == refused
+
+
 def test_verify_and_compose(capsys):
     code, out = run(capsys, [
         "verify", "--n", "0", "--m", "2", "--aut", "x1 -> x1 + 1; x2 -> x2 + x1",

@@ -18,7 +18,9 @@ from lndcalc import (  # noqa: E402
     aut_verify,
     invert,
     twisted_partials,
+    twisted_system,
 )
+from oracle_validate import validate as oracle_validate  # noqa: E402
 from support import tame_poly_map  # noqa: E402
 
 COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
@@ -50,6 +52,9 @@ def test_invert_round_trip_and_the_zero_path_equals_the_table(case):
     sig = aut.signature
     got = invert(aut)
     assert got == inverse
+    # invert never validates its twisted system: the checked constructor and
+    # the former probe set must both accept it
+    oracle_validate(twisted_system(aut))
     system = LndSystem(twisted_partials(aut), list(aut.images), check=False)
     for i in range(sig.s):
         x = WeylElement.generator(sig, i)
@@ -121,5 +126,8 @@ def test_invert_on_weyl_shears_is_the_composed_factor_inverse(sig, data):
         expected = aut_compose(f, expected)
     got = invert(aut)
     assert got == expected
+    # invert never validates its twisted system: the checked constructor and
+    # the former probe set must both accept it
+    oracle_validate(twisted_system(aut))
     ident = Automorphism.identity(aut.signature)
     assert aut_compose(aut, got) == ident == aut_compose(got, aut)
