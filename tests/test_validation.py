@@ -105,6 +105,79 @@ def test_generator_probes_reject_what_the_old_probes_reject(name):
     assert _both(system) == (expected, expected)
 
 
+def _walk_fed(system, walk):
+    """The walks of every generator's table (``walk`` is ``taylor_decompose``
+    or ``_taylor_at_zero``), as ``invert`` runs them: the cap rule is their
+    only check, the certificate the rest."""
+    return [getattr(system, walk)(x) for x in system._one.generators()]
+
+
+def _records(system, walk):
+    """The table entries d^gamma(x) each generator's walk visits, one dict
+    {gamma: entry} per generator; ``walk`` picks the slices it reads."""
+    slices = system.slices
+    if walk == "_taylor_at_zero":
+        slices = [t.constant_term() for t in slices]
+    walked = []
+    for x in system._one.generators():
+        record = {}
+        walked.append(record)
+        system._coefficients(x, slices, lambda gamma, b: record.setdefault(gamma, b))
+    return walked
+
+
+def _walks(system):
+    one = system._one
+    at_zero = isinstance(one, WeylElement) and one.signature.n == 0
+    return ["taylor_decompose"] + (["_taylor_at_zero"] if at_zero else [])
+
+
+@pytest.mark.parametrize("name", sorted(_accepted()))
+def test_walk_fed_validation_accepts_what_validation_accepts(name):
+    system = _accepted()[name]
+    for walk in _walks(system):
+        assert _verdict(lambda: _walk_fed(system, walk)) is None
+
+
+@pytest.mark.parametrize("name", sorted(_rejected()))
+def test_walks_alone_refuse_only_what_is_not_nilpotent(name):
+    # without validation a walk refuses a system only through its cap rule;
+    # invert leaves the other faults to its two-sided certificate
+    # (the free coefficient x2 also makes d(x1) = 1 + x2 never vanish)
+    _, system = _rejected()[name]
+    not_nilpotent = ("d1 + x2*d2 on P_2", "non-constant free coefficient")
+    walked = CapExceededError if name in not_nilpotent else None
+    for walk in _walks(system):
+        assert _verdict(lambda: _walk_fed(system, walk)) == walked
+
+
+def test_walk_fed_nilpotence_follows_the_cap_like_the_probe():
+    x1 = _poly_gens(1)
+    for cap in (0, 1, 2, 3):
+        system = _standard(x1, cap=cap)
+        assert _verdict(lambda: _walk_fed(system, "taylor_decompose")) == _verdict(
+            system._validate)
+
+
+@pytest.mark.parametrize("spec", [NAGATA, MAP_A11, MAP_A20], ids=["nagata", "a11", "a20"])
+def test_walks_record_the_first_derivatives_and_one_side_of_each_commutation(spec):
+    # the entry at e_i is d_i(x), at e_i + e_k (i < k) it is d_i(d_k x)
+    system = _twisted(*spec)
+    s = system.s
+    zero = system._zero
+    keys = [(i,) for i in range(s)] + [(i, k) for i in range(s) for k in range(i + 1, s)]
+    for walk in _walks(system):
+        for q, record in enumerate(_records(system, walk)):
+            x = system._one.generators()[q]
+            assert record[(0,) * s] == x
+            for key in keys:
+                gamma = tuple(int(h in key) for h in range(s))
+                expected = x
+                for i in reversed(key):
+                    expected = system.derive(i, expected)
+                assert record.get(gamma, zero) == expected, (walk, q, key)
+
+
 def test_invert_walk_trips_the_cap_on_wrong_twisted_partials(monkeypatch):
     # a wrong twisted partial on the identity of P_2: d'_2(x1) = x1 never
     # vanishes; invert does not validate the system, and its walk refuses
