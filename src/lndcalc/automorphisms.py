@@ -3,7 +3,9 @@
 An automorphism is stored by its generator images.  Verification checks the
 defining relations ([s(x_{n+i}), s(x_j)] = delta_ij, all other generator
 pairs commuting), centrality of the central images, and that the Jacobian
-determinant Delta of the central polynomial system is a nonzero constant.
+determinant Delta of the central images in the central generators
+x_{2n+1}..x_s is a nonzero constant; Delta is an element of A(n, m), formed
+by ``sparse.det`` under the degree cap like every other product.
 Injectivity or surjectivity is never assumed: ``invert`` runs the inversion
 formula
 
@@ -41,7 +43,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .commpoly import CommPoly, jacobian_det
 from .errors import (
     CapExceededError,
     LndError,
@@ -65,14 +66,8 @@ from .projections import (
     LndSystem,
     PartialDerivation,
 )
-from .weyl import (
-    WeylElement,
-    WeylSignature,
-    ad,
-    central_to_commpoly,
-    commpoly_to_central,
-    weyl_mul,
-)
+from .sparse import det, substitute
+from .weyl import WeylElement, WeylSignature, ad, weyl_mul
 
 
 def _arrow_text(images) -> str:
@@ -110,44 +105,14 @@ class Automorphism:
         return cls(signature, images, verified=True)
 
     def apply(self, a: WeylElement) -> WeylElement:
-        """Image of an element: substitute generator images monomial-wise.
-
-        The image of each exponent prefix x1^e1 ... xi^ei is formed once and
-        shared by every monomial of ``a`` that starts with it; the
-        coefficient scales the finished product."""
+        """Image of an element: substitute generator images monomial-wise
+        (``sparse.substitute``: one product per distinct exponent prefix,
+        at most s prefix images kept at a time)."""
         if not self.verified:
             raise UsageError("refusing to apply an unverified automorphism")
         if a.signature != self.signature:
             raise SignatureMismatchError("element signature does not match")
-        powers: dict[tuple[int, int], WeylElement] = {}
-
-        def powed(i: int, e: int) -> WeylElement:
-            key = (i, e)
-            if key not in powers:
-                if e == 1:
-                    powers[key] = self.images[i]
-                else:
-                    powers[key] = weyl_mul(powed(i, e - 1), self.images[i])
-            return powers[key]
-
-        prefixes: dict[tuple[int, ...], WeylElement] = {}
-        total = WeylElement.zero(self.signature)
-        for exps, c in a.terms.items():
-            piece = None
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                key = exps[: i + 1]
-                if key not in prefixes:
-                    prefixes[key] = (
-                        powed(i, e) if piece is None else weyl_mul(piece, powed(i, e))
-                    )
-                piece = prefixes[key]
-            if piece is None:
-                total = total + WeylElement.constant(self.signature, c)
-            else:
-                total = total + piece.scale(c)
-        return total
+        return substitute(a, self.images)
 
     def __eq__(self, other) -> bool:
         return (
@@ -193,11 +158,10 @@ def aut_verify(signature: WeylSignature, images: list[WeylElement]) -> Automorph
             raise RelationError(f"s(x{2 * n + j + 1}) not central")
     delta = Fraction(1)
     if m > 0:
-        central = [central_to_commpoly(imgs[2 * n + j]) for j in range(m)]
-        det = jacobian_det(central)
-        if det.is_zero() or not det.is_constant():
-            raise JacobianError(f"Delta = {det} is not a nonzero constant")
-        delta = det.constant_term()
+        jac = det(_central_jacobian(imgs, n, m))
+        if jac.is_zero() or not jac.is_constant():
+            raise JacobianError(f"Delta = {jac} is not a nonzero constant")
+        delta = jac.constant_term()
     return Automorphism(signature, list(imgs), verified=True, delta=delta)
 
 
@@ -212,17 +176,18 @@ def aut_compose(outer: Automorphism, inner: Automorphism) -> Automorphism:
 # -- twisted partials and the inversion formula ------------------------------
 
 
-def _central_minor(rows: list[list[CommPoly]], drop_row: int, drop_col: int, m: int) -> CommPoly:
+def _central_jacobian(images, n: int, m: int) -> list[list[WeylElement]]:
+    """Rows d s(x_{2n+j}) / d x_{2n+l} of the central images, on A(n, m)."""
+    return [[images[2 * n + j].partial(2 * n + l) for l in range(m)] for j in range(m)]
+
+
+def _central_minor(rows: list[list[WeylElement]], drop_row: int, drop_col: int) -> WeylElement:
     sub = [
-        [rows[r][c] for c in range(m) if c != drop_col]
-        for r in range(m)
+        [x for c, x in enumerate(row) if c != drop_col]
+        for r, row in enumerate(rows)
         if r != drop_row
     ]
-    if not sub:
-        return CommPoly.one(m)
-    from .commpoly import _det
-
-    return _det(sub)
+    return det(sub) if sub else WeylElement.one(rows[0][0].signature)
 
 
 def _integrate_weyl(system: LndSystem, targets: list[WeylElement]) -> WeylElement:
@@ -264,16 +229,14 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
     the ad-direction system, which never requires knowing s^{-1}."""
     if not aut.verified:
         raise UsageError("twisted partials need a verified automorphism")
-    sig = aut.signature
-    n, m = sig.n, sig.m
+    n, m = aut.signature.n, aut.signature.m
     out: list[DerivationDescriptor] = []
     for i in range(n):
         out.append(InnerDerivation(aut.images[n + i]))
     for i in range(n):
         out.append(InnerDerivation(-aut.images[i]))
     if m:
-        central = [central_to_commpoly(aut.images[2 * n + j]) for j in range(m)]
-        jac = [[img.partial(l) for l in range(m)] for img in central]
+        jac = _central_jacobian(aut.images, n, m)
         inv_delta = Fraction(1) / aut.delta
         weyl_system = None
         if n:
@@ -282,12 +245,11 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
         for j in range(m):
             parts = []
             for l in range(m):
-                minor = _central_minor(jac, j, l, m)
+                minor = _central_minor(jac, j, l)
                 if minor.is_zero():
                     continue
                 sign = -1 if (j + l) % 2 else 1
-                coeff = commpoly_to_central(minor.scale(inv_delta * sign), sig)
-                parts.append((coeff, PartialDerivation(2 * n + l)))
+                parts.append((minor.scale(inv_delta * sign), PartialDerivation(2 * n + l)))
             combo = CombinationDerivation(parts)
             if weyl_system is not None:
                 stray = [combo.apply(aut.images[k]) for k in range(2 * n)]
@@ -580,18 +542,6 @@ def linear_map_table(aut: Automorphism, max_order: int) -> LinearMapTable:
     }
 
 
-def _pd_of_monomial(sig: WeylSignature, alpha: MultiIndex, beta: MultiIndex) -> WeylElement:
-    """d^beta(x^alpha) as a falling-factorial multiple of x^(alpha-beta)."""
-    coeff = 1
-    exps = []
-    for a, b in zip(alpha, beta):
-        if b > a:
-            return WeylElement.zero(sig)
-        coeff *= factorial(a) // factorial(a - b)
-        exps.append(a - b)
-    return WeylElement.monomial(sig, tuple(exps), coeff)
-
-
 def map_to_series(
     signature: WeylSignature, table: LinearMapTable, max_order: int
 ) -> DiffOpSeries:
@@ -608,7 +558,7 @@ def map_to_series(
             raise UsageError(f"linear map table is missing the monomial {alpha}")
         rhs = table[alpha]
         for beta, a_beta in solved.items():
-            pd = _pd_of_monomial(signature, alpha, beta)
+            pd = WeylElement.monomial(signature, alpha).multi_partial(beta)
             if not pd.is_zero():
                 rhs = rhs - weyl_mul(a_beta, pd)
         solved[alpha] = rhs * Fraction(1, multi_factorial(alpha))

@@ -87,6 +87,8 @@ def _carrier_from(args) -> CommCarrier | WeylCarrier | FreeCarrier:
 def _signature_from(args) -> WeylSignature:
     n = args.n if args.n is not None else 0
     m = args.m if args.m is not None else 0
+    if n < 0 or m < 0:
+        raise UsageError("--n and --m must be non-negative")
     if 2 * n + m < 1:
         raise UsageError("the signature needs at least one generator (--n/--m)")
     return WeylSignature(n, m)

@@ -16,7 +16,7 @@ from operator import add
 from .errors import LndError, SignatureMismatchError, UsageError
 from .formatting import Scalar
 from .multiindex import MultiIndex
-from .sparse import SparseElement
+from .sparse import SparseElement, det, substitute
 
 
 class CommPoly(SparseElement):
@@ -106,7 +106,7 @@ class CommPoly(SparseElement):
     # -- calculus ----------------------------------------------------------
 
     def substitute(self, images: list[CommPoly]) -> CommPoly:
-        """Simultaneous substitution x_i -> images[i].
+        """Simultaneous substitution x_i -> images[i] (``sparse.substitute``).
 
         A negative exponent at position i requires images[i] to be an
         invertible monomial; otherwise the substitution is rejected.
@@ -115,25 +115,11 @@ class CommPoly(SparseElement):
             raise SignatureMismatchError(
                 f"{len(images)} images for {self.num_vars} variables"
             )
+        if not images:
+            return CommPoly.constant(0, self.constant_term())
         for img in images[1:]:
             images[0]._check_compatible(img)
-        target = images[0] if images else CommPoly.one(0)
-        out = CommPoly.zero(target.num_vars, target.laurent_mask)
-        power_cache: dict[tuple[int, int], CommPoly] = {}
-
-        def powed(i: int, e: int) -> CommPoly:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
-
-        for exps, c in self.terms.items():
-            term = CommPoly.constant(target.num_vars, c, target.laurent_mask)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * powed(i, e)
-            out = out + term
-        return out
+        return substitute(self, images)
 
 
 def jacobian_det(images: list[CommPoly]) -> CommPoly:
@@ -146,20 +132,4 @@ def jacobian_det(images: list[CommPoly]) -> CommPoly:
             raise SignatureMismatchError(
                 f"system of {m} images over {img.num_vars} variables is not square"
             )
-    rows = [[img.partial(j) for j in range(m)] for img in images]
-    return _det(rows)
-
-
-def _det(rows: list[list[CommPoly]]) -> CommPoly:
-    if len(rows) == 1:
-        return rows[0][0]
-    total = None
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero():
-            continue
-        minor = [[row[k] for k in range(len(rows)) if k != j] for row in rows[1:]]
-        piece = entry * _det(minor)
-        if j % 2:
-            piece = -piece
-        total = piece if total is None else total + piece
-    return rows[0][0].scale(0) if total is None else total
+    return det([[img.partial(j) for j in range(m)] for img in images])

@@ -26,6 +26,12 @@ of testing which carrier they hold.  A carrier supplies the hooks
 The defaults below are those of exponent-vector keys (commutative and
 normal-ordered Weyl monomials); ``FreeElement`` overrides them for words.
 Operands of different carriers or contexts raise ``SignatureMismatchError``.
+
+Two pieces of algebra over elements also live here, written once for every
+carrier: ``det(rows)``, a determinant by cofactor expansion (the entries
+must commute), and ``substitute(a, images)``, the image of an exponent-vector
+element under x_i -> images[i].  ``CommPoly.substitute``/``jacobian_det``
+and ``Automorphism.apply``/``aut_verify`` call them.
 """
 
 from __future__ import annotations
@@ -266,3 +272,62 @@ class SparseElement:
 
 _set_ctx = SparseElement._ctx.__set__
 _set_terms = SparseElement.terms.__set__
+
+
+def det(rows: list[list]):
+    """Determinant of a square matrix of elements by cofactor expansion along
+    the first row.  The entries must commute with each other (``CommPoly``,
+    or central elements of a Weyl algebra): the expansion fixes no order of
+    the factors."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, entry in enumerate(rows[0]):
+        if entry.is_zero():
+            continue
+        minor = [[row[k] for k in range(len(rows)) if k != j] for row in rows[1:]]
+        piece = entry * det(minor)
+        if j % 2:
+            piece = -piece
+        total = piece if total is None else total + piece
+    return rows[0][0].scale(0) if total is None else total
+
+
+def substitute(a: SparseElement, images: list):
+    """sum c * images[0]^e1 * ... * images[s-1]^es over the terms c*x^e of
+    ``a`` (exponent-vector keys), in the carrier of ``images`` (non-empty,
+    one per generator of ``a``; the caller checks them).
+
+    Terms go in descending key order, so the monomials that share a prefix
+    x1^e1 ... xi^ei are adjacent: each prefix image is one product, formed
+    once and kept on a stack of at most s entries while it is shared.  The
+    highest power of x1 comes first, so a product over the degree cap
+    fails before the rest of the work is done.  Powers are cached and built
+    one factor at a time; a negative exponent chains ``images[i] ** -1``
+    (a carrier without that inverse raises)."""
+    s = len(images)
+    chains: dict[tuple[int, bool], list] = {}  # (i, e < 0) -> images[i]^+-1, ^+-2, ...
+
+    def power(i: int, e: int):
+        chain = chains.get((i, e < 0))
+        if chain is None:
+            chain = chains[i, e < 0] = [images[i] if e > 0 else images[i] ** -1]
+        while len(chain) < abs(e):
+            chain.append(chain[-1] * chain[0])
+        return chain[abs(e) - 1]
+
+    unit = images[0] ** 0
+    total = unit.scale(0)
+    stack: list = []  # stack[i]: image of the current key's prefix through x_(i+1)
+    prev = None
+    for key in sorted(a.terms, reverse=True):
+        if prev is not None:
+            del stack[next(i for i in range(s) if key[i] != prev[i]):]
+        piece = stack[-1] if stack else None
+        for i in range(len(stack), s):
+            if e := key[i]:
+                piece = power(i, e) if piece is None else piece * power(i, e)
+            stack.append(piece)
+        total = total + (unit if piece is None else piece).scale(a.terms[key])
+        prev = key
+    return total

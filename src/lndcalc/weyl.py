@@ -46,7 +46,6 @@ from collections import namedtuple
 from fractions import Fraction
 from operator import add, sub
 
-from .commpoly import CommPoly
 from .errors import CapExceededError, LndError, SignatureMismatchError
 from .formatting import Scalar, canonical
 from .multiindex import MultiIndex
@@ -233,26 +232,3 @@ def combine_partials(a, sig, rows, top: int) -> WeylElement | None:
                     c = out.get(key)
                     out[key] = v * cc if c is None else c + v * cc
     return _capped(a.signature, out, DEGREE_CAP, 0)
-
-
-def central_to_commpoly(a: WeylElement) -> CommPoly:
-    """Drop a central element to P_m (variables x1..xm)."""
-    sig = a.signature
-    if not a.is_central():
-        raise LndError("element is not central")
-    nn = 2 * sig.n
-    return CommPoly(sig.m, {exps[nn:]: c for exps, c in a.terms.items()})
-
-
-def commpoly_to_central(p: CommPoly, signature: WeylSignature) -> WeylElement:
-    """Embed P_m into A(n, m) as the central subalgebra."""
-    if p.num_vars != signature.m:
-        raise SignatureMismatchError(
-            f"polynomial in {p.num_vars} variables for central part of size {signature.m}"
-        )
-    if p.laurent_mask:
-        raise LndError("Laurent variables cannot embed into a Weyl algebra")
-    nn = 2 * signature.n
-    return WeylElement(
-        signature, {(0,) * nn + exps: c for exps, c in p.terms.items()}
-    )

@@ -31,9 +31,16 @@ from lndcalc import (
     twisted_partials,
     twisted_system,
 )
+from lndcalc import weyl
 from lndcalc.multiindex import iter_upto
 from lndcalc.parsing import WeylCarrier
-from support import random_triangular_a11, random_unipotent_poly, random_weyl
+from support import (
+    NAGATA,
+    random_triangular_a11,
+    random_unipotent_poly,
+    random_weyl,
+    verified_map,
+)
 
 A10 = WeylSignature(1, 0)
 A11 = WeylSignature(1, 1)
@@ -131,6 +138,22 @@ def test_apply_matches_term_by_term_substitution():
     for _ in range(3):
         a = random_weyl(rng, P2, 4, 6)
         assert sigma.apply(a) == substitute(sigma, a)
+
+
+def test_apply_forms_one_product_per_distinct_nonzero_prefix(monkeypatch):
+    # one product per power x_i^e (e >= 2, from x_i^(e-1)) and one per
+    # exponent prefix x1^e1..xi^ei with ei > 0 after an earlier nonzero
+    # exponent; constants, scalings and sums form none
+    sigma = verified_map(*NAGATA)
+    a = parse_weyl("(x1 + 2*x2 + 3*x3 + 1)^9", P3)
+    expected = sigma.apply(parse_weyl("x1 + 2*x2 + 3*x3 + 1", P3)) ** 9
+    powers = sum(max(e[i] for e in a.terms) - 1 for i in range(3))
+    prefixes = {e[:i + 1] for e in a.terms for i in range(3) if e[i] and any(e[:i])}
+    calls = []
+    real = weyl.weyl_mul
+    monkeypatch.setattr(weyl, "weyl_mul", lambda *args: calls.append(1) or real(*args))
+    assert sigma.apply(a) == expected
+    assert len(calls) == powers + len(prefixes) == 216
 
 
 def test_apply_refuses_unverified_input():

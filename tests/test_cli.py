@@ -133,6 +133,28 @@ def test_jacobian_failure_exits_1(capsys):
     assert out == "ERROR jacobian: Delta = 2*x1 is not a nonzero constant\n"
 
 
+def test_delta_names_the_central_generators_of_the_signature(capsys):
+    code, out = run(capsys, [
+        "verify", "--n", "1", "--m", "1", "--aut", "x1 -> x1; x2 -> x2; x3 -> x3^2",
+    ])
+    assert (code, out) == (1, "ERROR jacobian: Delta = 2*x3 is not a nonzero constant\n")
+
+
+def test_jacobian_products_fall_under_the_degree_cap(capsys):
+    # Delta = 1 - 35^2 x1^34 x2^34 is formed by a product of degree 68
+    code, out = run(capsys, [
+        "verify", "--n", "0", "--m", "2", "--aut", "x1 -> x1 + x2^35; x2 -> x2 + x1^35",
+    ])
+    assert (code, out) == (
+        1, "ERROR cap: degree cap 64 exceeded by a normal form of degree 68\n")
+    # every Jacobian product of this automorphism stays within the cap
+    code, out = run(capsys, [
+        "verify", "--n", "0", "--m", "2",
+        "--aut", "x1 -> x1 + (x2 + x1^32)^2; x2 -> x2 + x1^32",
+    ])
+    assert (code, out) == (0, "x1 -> x2^2 + 2*x1^32*x2 + x1^64 + x1; x2 -> x2 + x1^32\n")
+
+
 def test_log_and_exp(capsys):
     code, out = run(capsys, [
         "log-aut", "--n", "0", "--m", "2", "--aut", "x1 -> x1 + 1; x2 -> x2 + x1",
@@ -260,6 +282,12 @@ def test_out_flag_writes_the_same_text(capsys, tmp_path):
 def test_cap_flag_is_honored(capsys):
     code, out = run(capsys, ["project", "--poly", "2", "--cap", "64", "x1^3"])
     assert (code, out) == (0, "0\n")
+
+
+def test_negative_signature_is_a_usage_error(capsys):
+    for n, m in (("1", "-1"), ("-1", "5")):
+        code, out = run(capsys, ["mul", "--n", n, "--m", m, "x1", "x1"])
+        assert (code, out) == (2, "ERROR usage: --n and --m must be non-negative\n")
 
 
 def test_negative_bounds_are_usage_errors(capsys, monkeypatch):

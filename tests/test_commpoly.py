@@ -77,6 +77,19 @@ def test_substitute_examples():
     assert prod.substitute(images) == parse_comm("2*x1*x2 + 2*x1^2", 2)
 
 
+def test_substitute_on_p0_and_at_a_high_power():
+    # P_0 has no generators: its elements are constants and stay so
+    assert CommPoly.constant(0, Fraction(3, 4)).substitute([]) == CommPoly.constant(0, Fraction(3, 4))
+    assert CommPoly.zero(0).substitute([]).is_zero()
+    # powers are built one factor at a time, not by recursion on the exponent
+    x1 = CommPoly.variable(1, 0)
+    assert (x1 ** 2000).substitute([x1.scale(2)]) == CommPoly.monomial(1, (2000,), 2 ** 2000)
+    mask = frozenset({0})
+    inv = CommPoly.monomial(1, (-1,), 1, mask)
+    assert CommPoly.monomial(1, (-2000,), 1, mask).substitute([inv.scale(2)]) == \
+        CommPoly.monomial(1, (2000,), Fraction(1, 2 ** 2000), mask)
+
+
 def test_substitute_negative_exponent_requires_a_unit():
     mask = frozenset({0})
     a = parse_comm("x1^-1", 2, mask)

@@ -2,6 +2,8 @@
 (needs hypothesis; skipped without it).  Examples are derandomized and few, so the run is fixed
 and short."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from lndcalc import (  # noqa: E402
     Automorphism,
+    JacobianError,
     LndSystem,
     WeylElement,
     WeylSignature,
@@ -20,6 +23,7 @@ from lndcalc import (  # noqa: E402
     twisted_partials,
     twisted_system,
 )
+from lndcalc.cli import main  # noqa: E402
 from oracle_validate import validate as oracle_validate  # noqa: E402
 from support import tame_poly_map  # noqa: E402
 
@@ -131,3 +135,74 @@ def test_invert_on_weyl_shears_is_the_composed_factor_inverse(sig, data):
     oracle_validate(twisted_system(aut))
     ident = Automorphism.identity(aut.signature)
     assert aut_compose(aut, got) == ident == aut_compose(got, aut)
+
+
+# -- A(n, m), m >= 1: the central Jacobian against sympy ------------------------
+
+CENTRAL_SIGNATURES = [WeylSignature(0, 1), WeylSignature(0, 2), WeylSignature(0, 3),
+                      WeylSignature(1, 1), WeylSignature(1, 2), WeylSignature(2, 1)]
+
+
+@st.composite
+def central_maps(draw, sig):
+    """Images on ``sig`` that satisfy the relations: x_i -> x_i + h_i and
+    x_{n+i} -> x_{n+i} + g_i with h_i, g_i central, and the central x_{2n+j}
+    sent either all to c_j x_{2n+j} + f_j (f_j in the earlier central
+    generators, so Delta is a nonzero constant) or all to central
+    polynomials of degree <= 2 (Delta may be zero or not constant)."""
+    nn, m = 2 * sig.n, sig.m
+
+    def central(indices, top):
+        f = WeylElement.constant(sig, draw(st.integers(-2, 2)))
+        for _ in range(draw(st.integers(0, 2)) if indices else 0):
+            exps = [0] * sig.s
+            for k in draw(st.lists(st.sampled_from(indices), min_size=1, max_size=top)):
+                exps[k] += 1
+            f = f + WeylElement.monomial(sig, tuple(exps), draw(COEFFS))
+        return f
+
+    zs = list(range(nn, sig.s))
+    images = [WeylElement.generator(sig, i) for i in range(sig.s)]
+    for i in range(nn):
+        if draw(st.booleans()):
+            images[i] = images[i] + central(zs, 2)
+    triangular = draw(st.booleans())
+    for j in range(m):
+        if triangular:
+            images[nn + j] = images[nn + j].scale(draw(COEFFS)) + central(zs[:j], 2)
+        else:
+            images[nn + j] = central(zs, 2)
+    return images
+
+
+@pytest.mark.parametrize("sig", CENTRAL_SIGNATURES, ids=str)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_delta_is_the_sympy_determinant_of_the_central_jacobian(sig, data):
+    sympy = pytest.importorskip("sympy")
+    images = data.draw(central_maps(sig))
+    nn = 2 * sig.n
+    zs = sympy.symbols(f"x{nn + 1}:{sig.s + 1}")
+
+    def to_sympy(a):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(z ** e for z, e in zip(zs, exps[nn:])))
+                           for exps, c in a.terms.items()))
+
+    rows = [[sympy.diff(to_sympy(images[nn + j]), z) for z in zs] for j in range(sig.m)]
+    poly = sympy.Poly(sympy.expand(sympy.Matrix(rows).det()), *zs)
+    expected = WeylElement(sig, {(0,) * nn + exps: Fraction(int(c.p), int(c.q))
+                                 for exps, c in poly.terms() if c})
+    argv = ["verify", "--n", str(sig.n), "--m", str(sig.m),
+            "--aut", str(Automorphism(sig, images))]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    if expected.is_constant() and not expected.is_zero():
+        assert aut_verify(sig, images).delta == expected.constant_term()
+        assert code == 0
+    else:
+        message = f"Delta = {expected} is not a nonzero constant"
+        with pytest.raises(JacobianError) as err:
+            aut_verify(sig, images)
+        assert str(err.value) == message
+        assert (code, out.getvalue()) == (1, f"ERROR jacobian: {message}\n")

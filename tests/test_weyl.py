@@ -12,9 +12,6 @@ from lndcalc import (
     SignatureMismatchError,
     WeylElement,
     WeylSignature,
-    central_to_commpoly,
-    commpoly_to_central,
-    parse_comm,
     parse_weyl,
     weyl_mul,
 )
@@ -170,15 +167,6 @@ def test_central_variables_are_central():
     assert _gen(A11, 2).is_central()
     assert not _gen(A11, 0).is_central()
     assert parse_weyl("x3^2 + 1/2", A11).is_central()
-
-
-def test_central_commpoly_round_trip():
-    a = parse_weyl("x3^2 + 2*x3 + 1", A11)
-    p = central_to_commpoly(a)
-    assert p == parse_comm("x1^2 + 2*x1 + 1", 1)
-    assert commpoly_to_central(p, A11) == a
-    with pytest.raises(LndError):
-        central_to_commpoly(parse_weyl("x1", A11))
 
 
 def test_degree_cap():
