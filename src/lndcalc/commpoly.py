@@ -27,7 +27,10 @@ class CommPoly(SparseElement):
 
     @staticmethod
     def _context(num_vars: int, laurent_mask: frozenset[int] = frozenset()):
-        return num_vars, frozenset(laurent_mask)
+        mask = frozenset(laurent_mask)
+        if bad := [i for i in sorted(mask) if not 0 <= i < num_vars]:
+            raise UsageError(f"Laurent mask index {bad[0]} names no variable of P_{num_vars}")
+        return num_vars, mask
 
     @staticmethod
     def _size(ctx) -> int:

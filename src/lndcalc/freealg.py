@@ -97,8 +97,3 @@ class FreeElement(SparseElement):
         return "*".join(
             f"x{g + 1}" if e == 1 else f"x{g + 1}^{e}" for g, e in pieces
         )
-
-
-def ad(u: FreeElement, a: FreeElement) -> FreeElement:
-    """The inner derivation ad(u): a -> u*a - a*u."""
-    return u * a - a * u

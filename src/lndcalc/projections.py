@@ -35,10 +35,11 @@ lazily: an entry's sub-table is staged before the next entry is derived,
 so the products of phi_1 form in the same order as in phi(a), and a cap
 error stops the walk before the rest of the table exists.  Each consumer
 folds this walk: ``taylor_decompose`` takes the entries and slice powers
-(formed once per call) as they are; ``_taylor_at_zero``, the P_m inversion
-of ``automorphisms.invert``, takes both evaluated at 0, a ring homomorphism
-on P_m; ``order`` keeps the largest |gamma|.  The ``z`` witnesses of
-``invariants`` are the c_alpha.
+(formed once per call) as they are; ``_taylor_at_zero``, the inversion of
+``automorphisms.invert``, takes the slices mod the centre and the entries'
+terms in x_1..x_n, which keeps the constant term of every c_alpha on A(n, m)
+(on P_m: evaluation at 0); ``order`` keeps the largest |gamma|.  The ``z``
+witnesses of ``invariants`` are the c_alpha.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ class LndSystem:
         walk leaves each nonzero entry at its own index."""
         if a.is_zero():
             raise LndError("the zero element has no order")
-        return max(map(sum, self._coefficients(a, [0] * self.s, lambda tail, b: 1)))
+        return max(map(sum, self._coefficients(a, [self._zero] * self.s, lambda tail, b: 1)))
 
     # -- projections ---------------------------------------------------------
 
@@ -332,16 +333,21 @@ class LndSystem:
         return TaylorCoefficients(self.s, self._coefficients(a, self.slices, lambda tail, b: b))
 
     def _taylor_at_zero(self, a: Element) -> dict[MultiIndex, Scalar]:
-        """{alpha: c_alpha(0)} for the coefficients of ``taylor_decompose(a)``,
-        zeros dropped, on P_m (see the module docstring)."""
-        table = self._coefficients(
-            a, [t.constant_term() for t in self.slices], lambda tail, b: b.constant_term()
-        )
-        return {alpha: canonical(c) for alpha, c in table.items() if c}
+        """{alpha: constant term of c_alpha} for ``taylor_decompose(a)`` on
+        A(n, m), zeros dropped: the walk with the slices mod the centre and
+        the entries cut to their terms in x_1..x_n (module docstring)."""
+        n = a.signature.n
+
+        def cut(b: Element, stop: int) -> Element:
+            return b._like({e: c for e, c in b.terms.items() if not any(e[stop:])})
+
+        slices = [cut(t, 2 * n) for t in self.slices]
+        table = self._coefficients(a, slices, lambda tail, b: cut(b, n))
+        return {alpha: c for alpha, v in table.items() if (c := v.constant_term())}
 
     def _coefficients(self, a: Element, slices, leaf) -> dict:
         """{alpha: P_s[alpha] / alpha!} with table entries read as
-        ``leaf(gamma, d^gamma a)`` and slices ``slices`` (elements or scalars)."""
+        ``leaf(gamma, d^gamma a)`` and slices ``slices``."""
         terms = [[t ** 0, -t] for t in slices]
 
         def slice_term(i: int, k: int):
@@ -376,7 +382,7 @@ class LndSystem:
             # P_j[g, start] += (-1)^k/k! t_j^k P_(j-1)[g, l] with k = l - start
             k = l - start
             term = slice_term(i, k)
-            if term == 0:  # a zero slice value (t_j(0) = 0, or order's) adds nothing
+            if term.is_zero():  # a zero cut slice (or order's) adds nothing
                 return
             for sub, val in cols[l].items():
                 if k:

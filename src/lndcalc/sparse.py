@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .errors import LndError, SignatureMismatchError
 from .formatting import Scalar, canonical, render_terms
-from .multiindex import MultiIndex, iter_layer, multi_factorial, term_order_key
+from .multiindex import MultiIndex, iter_layer, term_order_key
 
 
 class SparseElement:
@@ -241,8 +241,8 @@ class SparseElement:
                 out[exps[:i] + (e - 1,) + exps[i + 1:]] = canonical(c * e)
         return self._like(out)
 
-    def multi_partial(self, alpha: MultiIndex, divide: bool = False):
-        """Apply d^alpha = prod partial_i^alpha_i; optionally divide by alpha!."""
+    def multi_partial(self, alpha: MultiIndex):
+        """Apply d^alpha = prod partial_i^alpha_i."""
         if len(alpha) != self._size(self._ctx):
             raise SignatureMismatchError("multi-index length does not match the generators")
         out = self
@@ -251,8 +251,6 @@ class SparseElement:
                 out = out.partial(i)
                 if out.is_zero():
                     break
-        if divide:
-            out = out.scale(Fraction(1, multi_factorial(alpha)))
         return out
 
     # -- text --------------------------------------------------------------

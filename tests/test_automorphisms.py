@@ -35,6 +35,8 @@ from lndcalc import weyl
 from lndcalc.multiindex import iter_upto
 from lndcalc.parsing import WeylCarrier
 from support import (
+    MAP_A11,
+    MAP_A20,
     NAGATA,
     random_triangular_a11,
     random_unipotent_poly,
@@ -267,6 +269,31 @@ def test_invert_certifies_both_compositions():
         tau = invert(sigma)
         assert _fixes_generators(aut_compose(tau, sigma))
         assert _fixes_generators(aut_compose(sigma, tau))
+
+
+def test_invert_composes_on_one_side_and_the_other_side_holds(monkeypatch):
+    # sigma(tau(x_i)) = x_i for every i, with sigma and tau endomorphisms,
+    # makes sigma surjective, hence injective (A(n, m) is Noetherian): invert
+    # applies sigma once per generator, and tau(sigma(x_i)) = x_i is the
+    # oracle side, checked here
+    apply = Automorphism.apply
+    calls = []
+
+    def counted(self, a):
+        calls.append(self)
+        return apply(self, a)
+
+    monkeypatch.setattr(Automorphism, "apply", counted)
+    rng = Random(505)
+    maps = [verified_map(*spec) for spec in (NAGATA, MAP_A11, MAP_A20)]
+    maps += [random_triangular_a11(rng), random_unipotent_poly(rng, P3)]
+    for sigma in maps:
+        calls.clear()
+        tau = invert(sigma)
+        assert len(calls) == sigma.signature.s
+        assert all(c is sigma for c in calls)
+        for x, image in zip(_gens(sigma.signature), sigma.images):
+            assert apply(tau, image) == x
 
 
 def test_invert_central_twist_example():

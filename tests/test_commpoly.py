@@ -9,8 +9,10 @@ from lndcalc import (
     CommPoly,
     LndError,
     SignatureMismatchError,
+    UsageError,
     jacobian_det,
     parse_comm,
+    standard_system,
 )
 from support import is_canonical, random_comm
 
@@ -143,6 +145,21 @@ def test_laurent_arithmetic():
     assert (inv ** 2) == parse_comm("x1^-2", 2, mask)
     with pytest.raises(LndError):
         CommPoly.monomial(2, (-1, 0))  # no mask: not invertible
+
+
+@pytest.mark.parametrize("num_vars, mask, index", [
+    (1, {5}, 5), (2, {-1}, -1), (2, {0, 2}, 2), (0, {0}, 0),
+])
+def test_laurent_mask_outside_the_variables_is_a_usage_error(num_vars, mask, index):
+    # a mask index names a variable x(i+1) with 0 <= i < num_vars
+    message = f"Laurent mask index {index} names no variable of P_{num_vars}"
+    with pytest.raises(UsageError, match=message):
+        CommPoly(num_vars, {(1,) * num_vars: 1}, frozenset(mask))
+    with pytest.raises(UsageError, match=message):
+        standard_system(CommPoly.one(num_vars, frozenset(mask)))
+    for build in (CommPoly.zero, CommPoly.one):
+        with pytest.raises(UsageError, match=message):
+            build(num_vars, frozenset(mask))
 
 
 def test_construction_and_queries():

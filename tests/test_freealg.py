@@ -7,10 +7,10 @@ import pytest
 
 from lndcalc import (
     FreeElement,
+    InnerDerivation,
     SignatureMismatchError,
     parse_free,
 )
-from lndcalc.freealg import ad
 from support import is_canonical, random_free
 
 
@@ -43,10 +43,11 @@ def test_partial_out_of_range():
 
 
 def test_ad_examples():
-    assert ad(_gen(0), _gen(1)) == parse_free("x1*x2 - x2*x1", 2)
+    ad_x1 = InnerDerivation(_gen(0)).apply
+    assert ad_x1(_gen(1)) == parse_free("x1*x2 - x2*x1", 2)
     u = random_free(Random(301), 2, 4)
-    assert ad(u, u).is_zero()
-    assert ad(_gen(0), ad(_gen(0), _gen(1))) == \
+    assert InnerDerivation(u).apply(u).is_zero()
+    assert ad_x1(ad_x1(_gen(1))) == \
         parse_free("x1*x1*x2 - 2*x1*x2*x1 + x2*x1*x1", 2)
 
 
@@ -86,9 +87,9 @@ def test_commutator_family_lies_in_the_joint_kernel():
                 continue
             value = commutator
             for _ in range(a):
-                value = ad(_gen(0), value)
+                value = InnerDerivation(_gen(0)).apply(value)
             for _ in range(b):
-                value = ad(_gen(1), value)
+                value = InnerDerivation(_gen(1)).apply(value)
             family.append(value)
     assert len(family) > 3
     for f in family:
@@ -135,7 +136,7 @@ def test_arithmetic_results_are_well_formed():
         elif op == 5:
             x = x * y
         elif op == 6:
-            x = ad(y, x)
+            x = InnerDerivation(y).apply(x)
         else:
             x = x - x + y
         _assert_clean(x)

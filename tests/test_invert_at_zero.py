@@ -1,8 +1,9 @@
-"""Inversion on P_m from constant terms against the table-driven Taylor path.
+"""Inversion from constant terms against the table-driven Taylor path.
 
-On P_m (n = 0) ``invert`` reads the inverse's coefficients off the scalars
-(d'^gamma x_i)(0) (``LndSystem._taylor_at_zero``); the coefficients of
-``taylor_decompose`` evaluated at 0 are the oracle.
+``invert`` reads the constant term eps(c_alpha) of each Taylor coefficient
+off one walk with the slices taken mod the centre and the table entries cut
+to their terms in x_1..x_n (``LndSystem._taylor_at_zero``); on P_m that is
+evaluation at 0.  The constant terms of ``taylor_decompose`` are the oracle.
 """
 
 from random import Random
@@ -17,12 +18,16 @@ from lndcalc import (
     WeylSignature,
     aut_compose,
     invert,
+    standard_system,
     twisted_partials,
 )
 from support import (
+    MAP_A11,
+    MAP_A20,
     NAGATA,
     is_canonical,
     random_tame_poly,
+    random_triangular_a11,
     random_weyl,
     verified_map,
 )
@@ -43,10 +48,38 @@ def _maps():
     return cases + [(nagata, None)]
 
 
+def _weyl_systems():
+    """Twisted systems of maps on A(1,0), A(1,1), A(2,0) and A(1,2), whose
+    images move off 0 and mix coordinates, momenta and centre, and the
+    standard systems of those signatures."""
+    rng = Random(813)
+    a10 = aut_compose(verified_map(1, 0, "x1 -> x1 + x2^2 + 1; x2 -> x2"),
+                      verified_map(1, 0, "x1 -> x1; x2 -> x2 + 3*x1^2 - 2"))
+    a12 = aut_compose(
+        verified_map(1, 2, "x1 -> x1 + x2*x3 + x4^2; x2 -> x2; x3 -> x3 + x4 + 1; "
+                           "x4 -> x4 - 1"),
+        verified_map(1, 2, "x1 -> x1; x2 -> x2 + x1^2*x4 + 1/2*x3; x3 -> x3; x4 -> x4"))
+    maps = [a10, verified_map(*MAP_A11), random_triangular_a11(rng),
+            verified_map(*MAP_A20), a12]
+    systems = [_unchecked(aut) for aut in maps]
+    return systems + [standard_system(WeylElement.one(WeylSignature(n, m)))
+                      for n, m in ((1, 0), (1, 1), (2, 0), (1, 2))]
+
+
 def _at_zero(system, a):
     return {alpha: c.constant_term()
             for alpha, c in system.taylor_decompose(a).items()
             if c.constant_term()}
+
+
+def _evaluated_at_zero(system, a):
+    """The P_m rule on any signature: entries and slices replaced by their
+    constant terms (correct only where evaluation at 0 is multiplicative)."""
+    def at0(b):
+        return b.like({(0,) * b.signature.s: b.constant_term()})
+    table = system._coefficients(a, [at0(t) for t in system.slices],
+                                 lambda gamma, b: at0(b))
+    return {alpha: c.constant_term() for alpha, c in table.items() if c.constant_term()}
 
 
 def _verdict(call):
@@ -70,6 +103,16 @@ def test_constant_terms_equal_the_table_path():
             got = system._taylor_at_zero(a)
             assert got == _at_zero(system, a), (str(aut), str(a))
             assert all(is_canonical(c) for c in got.values())
+    # on A(n, m) with n > 0 the walk cuts slices mod the centre and entries
+    # to x_1..x_n; evaluating at 0, the P_m rule, differs in some cases
+    differ = 0
+    for system in _weyl_systems():
+        for a in [random_weyl(rng, system._one.signature, 3, 4) for _ in range(2)]:
+            got = system._taylor_at_zero(a)
+            assert got == _at_zero(system, a), ([str(t) for t in system.slices], str(a))
+            assert all(is_canonical(c) for c in got.values())
+            differ += got != _evaluated_at_zero(system, a)
+    assert differ >= 1
 
 
 def test_invert_equals_the_known_inverse_and_the_table_path():

@@ -135,6 +135,13 @@ def test_invert_on_weyl_shears_is_the_composed_factor_inverse(sig, data):
     oracle_validate(twisted_system(aut))
     ident = Automorphism.identity(aut.signature)
     assert aut_compose(aut, got) == ident == aut_compose(got, aut)
+    system = LndSystem(twisted_partials(aut), list(aut.images), check=False)
+    for i in range(sig.s):
+        x = WeylElement.generator(sig, i)
+        table = system.taylor_decompose(x)
+        expected = {alpha: c.constant_term() for alpha, c in table.items()}
+        assert system._taylor_at_zero(x) == expected
+        assert WeylElement(sig, expected) == got.images[i]
 
 
 # -- A(n, m), m >= 1: the central Jacobian against sympy ------------------------
