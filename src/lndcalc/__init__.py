@@ -6,7 +6,6 @@ from .automorphisms import (
     Automorphism,
     Derivation,
     DiffOpSeries,
-    LinearMapTable,
     aut_compose,
     aut_to_series,
     aut_verify,
@@ -45,11 +44,8 @@ from .parsing import (
     CommCarrier,
     FreeCarrier,
     WeylCarrier,
-    parse_comm,
     parse_element,
-    parse_free,
     parse_images,
-    parse_weyl,
 )
 from .projections import (
     NILPOTENCE_CAP,
@@ -83,7 +79,6 @@ __all__ = [
     "GeneratorWitness",
     "InnerDerivation",
     "JacobianError",
-    "LinearMapTable",
     "LndError",
     "LndSystem",
     "MultiIndex",
@@ -108,11 +103,8 @@ __all__ = [
     "linear_map_table",
     "log_aut",
     "map_to_series",
-    "parse_comm",
     "parse_element",
-    "parse_free",
     "parse_images",
-    "parse_weyl",
     "relation_check",
     "series_apply",
     "standard_system",

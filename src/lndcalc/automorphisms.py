@@ -52,13 +52,7 @@ from .errors import (
     SignatureMismatchError,
     UsageError,
 )
-from .multiindex import (
-    MultiIndex,
-    graded_lex_key,
-    iter_upto,
-    multi_factorial,
-    multi_total,
-)
+from .multiindex import MultiIndex, iter_upto, multi_factorial
 from .projections import (
     NILPOTENCE_CAP,
     CombinationDerivation,
@@ -66,6 +60,7 @@ from .projections import (
     InnerDerivation,
     LndSystem,
     PartialDerivation,
+    TaylorCoefficients,
 )
 from .sparse import det, substitute
 from .weyl import WeylElement, WeylSignature, ad, weyl_mul
@@ -263,14 +258,12 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
     return out
 
 
-def twisted_system(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> LndSystem:
+def twisted_system(aut: Automorphism) -> LndSystem:
     """LndSystem with the twisted partials and slices s(x_1)..s(x_s)."""
-    return LndSystem(
-        twisted_partials(aut), list(aut.images), nilpotence_cap=nilpotence_cap
-    )
+    return LndSystem(twisted_partials(aut), list(aut.images))
 
 
-def invert(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorphism:
+def invert(aut: Automorphism) -> Automorphism:
     """Inversion formula: s^{-1}(x_i) = sum_alpha x^alpha phi'(d'^alpha x_i / alpha!).
 
     Each coefficient is read as its constant term, off one cut walk per
@@ -278,7 +271,7 @@ def invert(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorph
     alone, which suffices as A(n, m) is Noetherian (module docstring).
     """
     sig = aut.signature
-    system = LndSystem(twisted_partials(aut), list(aut.images), nilpotence_cap, check=False)
+    system = LndSystem(twisted_partials(aut), list(aut.images), check=False)
     gens = system._one.generators()
     inverse = aut_verify(sig, [WeylElement(sig, system._taylor_at_zero(x)) for x in gens])
     for i, gen in enumerate(gens):
@@ -389,7 +382,7 @@ class Derivation:
         return f"Derivation({self.signature}, {str(self)!r})"
 
 
-def log_aut(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Derivation:
+def log_aut(aut: Automorphism) -> Derivation:
     """log of a unipotent automorphism:
     d(x_i) = sum_{k>=1} (-1)^(k+1) (s - id)^k (x_i) / k."""
     if not aut.verified:
@@ -401,9 +394,9 @@ def log_aut(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Derivati
         cur = aut.images[i] - WeylElement.generator(sig, i)
         k = 1
         while not cur.is_zero():
-            if k > nilpotence_cap:
+            if k > NILPOTENCE_CAP:
                 raise CapExceededError(
-                    f"(s - id) is not nilpotent on x{i + 1} within cap {nilpotence_cap}"
+                    f"(s - id) is not nilpotent on x{i + 1} within cap {NILPOTENCE_CAP}"
                 )
             total = total + cur * Fraction((-1) ** (k + 1), k)
             cur = aut.apply(cur) - cur
@@ -412,7 +405,7 @@ def log_aut(aut: Automorphism, nilpotence_cap: int = NILPOTENCE_CAP) -> Derivati
     return Derivation(sig, values)
 
 
-def exp_der(deriv: Derivation, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorphism:
+def exp_der(deriv: Derivation) -> Automorphism:
     """exp of a locally nilpotent derivation: s(x_i) = sum_k d^k(x_i) / k!."""
     sig = deriv.signature
     images = []
@@ -421,9 +414,9 @@ def exp_der(deriv: Derivation, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorp
         cur = WeylElement.generator(sig, i)
         k = 0
         while not cur.is_zero():
-            if k > nilpotence_cap:
+            if k > NILPOTENCE_CAP:
                 raise CapExceededError(
-                    f"derivation is not nilpotent on x{i + 1} within cap {nilpotence_cap}"
+                    f"derivation is not nilpotent on x{i + 1} within cap {NILPOTENCE_CAP}"
                 )
             total = total + cur * Fraction(1, factorial(k))
             cur = deriv.apply(cur)
@@ -435,10 +428,11 @@ def exp_der(deriv: Derivation, nilpotence_cap: int = NILPOTENCE_CAP) -> Automorp
 # -- differential operator series --------------------------------------------
 
 
-class DiffOpSeries:
-    """A truncated series sum_alpha a_alpha d^alpha with element coefficients."""
+class DiffOpSeries(TaylorCoefficients):
+    """A truncated series sum_alpha a_alpha d^alpha; absent indices read 0."""
 
-    __slots__ = ("signature", "max_order", "coeffs")
+    __slots__ = ("signature", "max_order")
+    head, empty = "d^", "0"
 
     def __init__(
         self,
@@ -446,40 +440,15 @@ class DiffOpSeries:
         max_order: int,
         coeffs: dict[MultiIndex, WeylElement],
     ):
-        clean: dict[MultiIndex, WeylElement] = {}
-        for alpha, c in coeffs.items():
-            alpha = tuple(alpha)
-            if len(alpha) != signature.s:
-                raise SignatureMismatchError("multi-index length does not match")
-            if multi_total(alpha) > max_order:
-                raise UsageError(f"coefficient at {alpha} beyond max order {max_order}")
-            if not c.is_zero():
-                clean[alpha] = c
+        super().__init__(signature.s, coeffs)
+        for alpha in coeffs:
+            if sum(alpha) > max_order:
+                raise UsageError(f"coefficient at {tuple(alpha)} beyond max order {max_order}")
         self.signature = signature
         self.max_order = max_order
-        self.coeffs = clean
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda t: graded_lex_key(t[0]))
 
     def __getitem__(self, alpha: MultiIndex) -> WeylElement:
         return self.coeffs.get(tuple(alpha), WeylElement.zero(self.signature))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffOpSeries)
-            and self.signature == other.signature
-            and self.coeffs == other.coeffs
-        )
-
-    def __str__(self) -> str:
-        lines = [
-            f"d^({','.join(str(e) for e in alpha)}): {c}" for alpha, c in self.items()
-        ]
-        return "\n".join(lines) if lines else "0"
-
-    def __repr__(self) -> str:
-        return f"DiffOpSeries({self.signature}, order {self.max_order}, {len(self.coeffs)} terms)"
 
 
 def _check_order(max_order: int) -> None:
@@ -526,10 +495,7 @@ def series_apply(series: DiffOpSeries, a: WeylElement) -> WeylElement:
     return total
 
 
-LinearMapTable = dict[MultiIndex, WeylElement]
-
-
-def linear_map_table(aut: Automorphism, max_order: int) -> LinearMapTable:
+def linear_map_table(aut: Automorphism, max_order: int) -> dict[MultiIndex, WeylElement]:
     """Tabulate a on all basis monomials x^alpha with |alpha| <= max_order."""
     _check_order(max_order)
     sig = aut.signature
@@ -540,7 +506,7 @@ def linear_map_table(aut: Automorphism, max_order: int) -> LinearMapTable:
 
 
 def map_to_series(
-    signature: WeylSignature, table: LinearMapTable, max_order: int
+    signature: WeylSignature, table: dict[MultiIndex, WeylElement], max_order: int
 ) -> DiffOpSeries:
     """Unique series with f(x^alpha) = sum_beta a_beta d^beta(x^alpha) for all
     |alpha| <= max_order, solved layer by layer:

@@ -48,7 +48,7 @@ from .parsing import (
     parse_element,
     parse_images,
 )
-from .projections import standard_system
+from .projections import NILPOTENCE_CAP, standard_system
 from .weyl import WeylSignature
 
 
@@ -98,13 +98,6 @@ def _verified_aut(args, flag: str = "aut") -> Automorphism:
     sig = _signature_from(args)
     images = parse_images(getattr(args, flag.replace("-", "_")), WeylCarrier(sig))
     return aut_verify(sig, images)
-
-
-def _system_for(carrier, args=None):
-    cap_kw = {}
-    if args is not None and getattr(args, "cap", None) is not None:
-        cap_kw["nilpotence_cap"] = args.cap
-    return standard_system(carrier.constant(1), **cap_kw)
 
 
 def _parse_index_list(text: str, length: int) -> tuple[int, ...]:
@@ -173,7 +166,7 @@ def _cmd_partial(args) -> str:
 
 def _cmd_project(args) -> str:
     carrier = _carrier_from(args)
-    system = _system_for(carrier, args)
+    system = standard_system(carrier.constant(1), args.cap)
     element = parse_element(args.expr, carrier)
     out = system.phi(element) if args.map == "phi" else system.psi(element)
     return str(out)
@@ -181,7 +174,7 @@ def _cmd_project(args) -> str:
 
 def _cmd_taylor(args) -> str:
     carrier = _carrier_from(args)
-    system = _system_for(carrier, args)
+    system = standard_system(carrier.constant(1), args.cap)
     return str(system.taylor_decompose(parse_element(args.expr, carrier)))
 
 
@@ -228,7 +221,7 @@ def _cmd_apply_series(args) -> str:
 
 def _cmd_invariants(args) -> str:
     carrier = _carrier_from(args)
-    system = _system_for(carrier, args)
+    system = standard_system(carrier.constant(1), args.cap)
     if args.gens:
         gens = [
             parse_element(piece.strip(), carrier) for piece in args.gens.split(";")
@@ -243,13 +236,13 @@ def _cmd_invariants(args) -> str:
 
 def _cmd_relation(args) -> str:
     carrier = _carrier_from(args)
-    system = _system_for(carrier, args)
+    system = standard_system(carrier.constant(1), args.cap)
     return "true" if relation_check(system, parse_element(args.expr, carrier)) else "false"
 
 
 def _cmd_kernel(args) -> str:
     carrier = _carrier_from(args)
-    system = _system_for(carrier, args)
+    system = standard_system(carrier.constant(1), args.cap)
     basis = graded_kernel_oracle(system, args.degree)
     if not basis:
         return "(empty)"
@@ -307,11 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("project", _cmd_project, "projection onto the invariant subalgebra")
     p.add_argument("--map", choices=("phi", "psi"), default="phi")
-    p.add_argument("--cap", type=int, default=None, help="nilpotence cap")
+    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
     p.add_argument("expr")
 
     p = add("taylor", _cmd_taylor, "Taylor coefficients over the coordinate slices")
-    p.add_argument("--cap", type=int, default=None, help="nilpotence cap")
+    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
     p.add_argument("expr")
 
     p = add("invert", _cmd_invert, "inverse of an automorphism of A(n,m)",
@@ -354,17 +347,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated generating set (default: variables)")
     p.add_argument("--word-bound", type=int, default=2)
     p.add_argument("--degree-bound", type=int, default=6)
-    p.add_argument("--cap", type=int, default=None, help="nilpotence cap")
+    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
 
-    p = add("relation", _cmd_relation, "does the expression project to zero "
-            "(lie in the slice ideal)?")
-    p.add_argument("--cap", type=int, default=None, help="nilpotence cap")
+    p = add("relation", _cmd_relation, "does phi map the expression to zero? "
+            "(slice-ideal membership on commutative carriers only)")
+    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
     p.add_argument("expr")
 
     p = add("kernel", _cmd_kernel, "exact basis of the joint kernel on one "
             "homogeneous component")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None, help="nilpotence cap")
+    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
 
     p = add("weitzenboeck", _cmd_weitzenboeck, "invariants of the localized "
             "triangular derivation x1 d2 + ... + x_{n-1} d_n", carrier=False)

@@ -28,7 +28,6 @@ from .errors import LndError, UsageError
 from .linalg import nullspace, rank
 from .multiindex import MultiIndex, graded_lex_key
 from .projections import (
-    NILPOTENCE_CAP,
     CombinationDerivation,
     Element,
     InnerDerivation,
@@ -121,8 +120,8 @@ def enumerate_generators(
 
 
 def relation_check(system: LndSystem, candidate: Element) -> bool:
-    """True when the candidate collapses under phi, i.e. lies in the left
-    ideal generated by the slices (the kernel of the projection)."""
+    """True when phi(candidate) = 0: membership in the slice ideal on a
+    commutative carrier, in general only in sum_(alpha != 0) t^alpha A^d."""
     return system.phi(candidate).is_zero()
 
 
@@ -216,7 +215,7 @@ def subalgebra_graded_dimension(values: list[Element], degree: int) -> int:
 # -- the Weitzenboeck construction --------------------------------------------
 
 
-def weitzenboeck_system(n: int, nilpotence_cap: int = NILPOTENCE_CAP) -> LndSystem:
+def weitzenboeck_system(n: int) -> LndSystem:
     """d = x1 d2 + x2 d3 + ... + x_{n-1} d_n on K[x1, 1/x1][x2..xn], with the
     single slice x2/x1."""
     if n < 2:
@@ -228,7 +227,7 @@ def weitzenboeck_system(n: int, nilpotence_cap: int = NILPOTENCE_CAP) -> LndSyst
     )
     slice_exps = (-1, 1) + (0,) * (n - 2)
     slice_elem = CommPoly.monomial(n, slice_exps, 1, mask)
-    return LndSystem([deriv], [slice_elem], nilpotence_cap=nilpotence_cap)
+    return LndSystem([deriv], [slice_elem])
 
 
 def weitzenboeck_closed_form(n: int, i: int) -> CommPoly:

@@ -21,11 +21,6 @@ def multi_factorial(alpha: MultiIndex) -> int:
     return out
 
 
-def multi_total(alpha: MultiIndex) -> int:
-    """|alpha| = sum of the entries."""
-    return sum(alpha)
-
-
 def iter_layer(s: int, total: int) -> Iterator[MultiIndex]:
     """All alpha in N^s with |alpha| = total, in lexicographic order."""
     if s == 1:
@@ -44,7 +39,7 @@ def iter_upto(s: int, bound: int) -> Iterator[MultiIndex]:
 
 def graded_lex_key(alpha: MultiIndex) -> tuple:
     """Sort key: by |alpha|, then lexicographically.  Ascending use."""
-    return (multi_total(alpha), alpha)
+    return (sum(alpha), alpha)
 
 
 def term_order_key(alpha: MultiIndex) -> tuple:

@@ -236,20 +236,6 @@ def parse_element(text: str, carrier: Carrier):
     return node
 
 
-def parse_comm(
-    text: str, num_vars: int, laurent_mask: frozenset[int] = frozenset()
-) -> CommPoly:
-    return parse_element(text, CommCarrier(num_vars, laurent_mask))
-
-
-def parse_weyl(text: str, signature: WeylSignature) -> WeylElement:
-    return parse_element(text, WeylCarrier(signature))
-
-
-def parse_free(text: str, num_gens: int) -> FreeElement:
-    return parse_element(text, FreeCarrier(num_gens))
-
-
 def parse_images(text: str, carrier: Carrier) -> list:
     """Parse "x1 -> expr; x2 -> expr; ..." into a 0-indexed image list with
     every generator assigned exactly once."""

@@ -261,18 +261,13 @@ class LndSystem:
                         raise LndError(
                             f"derivations {i + 1} and {j + 1} do not commute on {p}"
                         )
-        for i in range(self.s):
+        for i in range(self.s):  # nilpotence, under the walk's cap rule
             for q, p in enumerate(probes):
-                cur = p
-                for step in range(self.nilpotence_cap + 1):
-                    if cur.is_zero():
-                        break
-                    cur = self.derive(i, cur) if step else first(i, q)
-                else:
-                    raise CapExceededError(
-                        f"derivation {i + 1} not nilpotent on a probe within "
-                        f"cap {self.nilpotence_cap}"
-                    )
+                cur, depth = p, 0
+                while not cur.is_zero():
+                    self._check_depth(depth)
+                    cur = self.derive(i, cur) if depth else first(i, q)
+                    depth += 1
 
     # -- the table walk ------------------------------------------------------
 
@@ -427,9 +422,11 @@ class LndSystem:
 
 
 class TaylorCoefficients:
-    """Finite map from multi-indices to invariant coefficients."""
+    """Finite map from multi-indices of length ``s`` to nonzero elements,
+    printed as ``head(alpha): c`` lines in graded-lex order, or ``empty``."""
 
     __slots__ = ("s", "coeffs")
+    head, empty = "alpha=", "alpha: none"
 
     def __init__(self, s: int, coeffs: dict[MultiIndex, Element]):
         self.s = s
@@ -456,20 +453,20 @@ class TaylorCoefficients:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, TaylorCoefficients)
+            type(other) is type(self)
             and self.s == other.s
             and self.coeffs == other.coeffs
         )
 
     def __str__(self) -> str:
         lines = [
-            f"alpha=({','.join(str(e) for e in alpha)}): {c}"
+            f"{self.head}({','.join(str(e) for e in alpha)}): {c}"
             for alpha, c in self.items()
         ]
-        return "\n".join(lines) if lines else "alpha: none"
+        return "\n".join(lines) if lines else self.empty
 
     def __repr__(self) -> str:
-        return f"TaylorCoefficients({self.s}, {len(self.coeffs)} entries)"
+        return f"{type(self).__name__}({self.s}, {len(self.coeffs)} entries)"
 
 
 def standard_system(

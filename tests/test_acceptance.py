@@ -10,7 +10,9 @@ from random import Random
 
 from lndcalc import (
     CombinationDerivation,
+    CommCarrier,
     CommPoly,
+    FreeCarrier,
     FreeElement,
     InnerDerivation,
     LndSystem,
@@ -27,10 +29,8 @@ from lndcalc import (
     linear_map_table,
     log_aut,
     map_to_series,
-    parse_comm,
-    parse_free,
+    parse_element,
     parse_images,
-    parse_weyl,
     series_apply,
     standard_system,
     subalgebra_graded_dimension,
@@ -220,7 +220,7 @@ def test_criterion_6_exp_log_round_trips():
                 value = system.phi(WeylElement.generator(sig, j))
                 assert sigma.apply(value) == value
             if sig is P2:
-                assert value == parse_weyl("x2 - 1/2*x1^2 + 1/2*x1", P2)
+                assert value == parse_element("x2 - 1/2*x1^2 + 1/2*x1", WeylCarrier(P2))
 
 
 def test_criterion_7_free_invariants_oracle():
@@ -273,8 +273,8 @@ def test_criterion_9_cli_goldens(capsys):
 
         # canonical-form spot checks from the interface contract
         assert str(CommPoly.constant(2, 0)) == "0"
-        assert str(parse_weyl("x2*x1", A10)) == "x1*x2 + 1"
-        assert str(parse_comm("x1^-1*x2^2", 2, frozenset({0}))) == "x2^2*x1^-1"
+        assert str(parse_element("x2*x1", WeylCarrier(A10))) == "x1*x2 + 1"
+        assert str(parse_element("x1^-1*x2^2", CommCarrier(2, frozenset({0})))) == "x2^2*x1^-1"
 
         # 200 expression round trips: format(parse(text)) == text on generated
         # canonical strings, and parse(format(e)) == e
@@ -286,21 +286,22 @@ def test_criterion_9_cli_goldens(capsys):
             if which == 0:
                 e = random_comm(rng, 3, 5)
                 text = str(e)
-                assert parse_comm(text, 3) == e and str(parse_comm(text, 3)) == text
+                back = parse_element(text, CommCarrier(3))
+                assert back == e and str(back) == text
             elif which == 1:
                 e = random_comm(rng, 2, 4, laurent_mask=mask) * \
-                    parse_comm("x1^-2", 2, mask)
+                    parse_element("x1^-2", CommCarrier(2, mask))
                 text = str(e)
-                assert parse_comm(text, 2, mask) == e
-                assert str(parse_comm(text, 2, mask)) == text
+                assert parse_element(text, CommCarrier(2, mask)) == e
+                assert str(parse_element(text, CommCarrier(2, mask))) == text
             elif which == 2:
                 e = random_weyl(rng, A11, 5, 4)
                 text = str(e)
-                assert parse_weyl(text, A11) == e
-                assert str(parse_weyl(text, A11)) == text
+                assert parse_element(text, WeylCarrier(A11)) == e
+                assert str(parse_element(text, WeylCarrier(A11))) == text
             else:
                 e = random_free(rng, 2, 5, 4)
                 text = str(e)
-                assert parse_free(text, 2) == e
-                assert str(parse_free(text, 2)) == text
+                assert parse_element(text, FreeCarrier(2)) == e
+                assert str(parse_element(text, FreeCarrier(2))) == text
             count += 1

@@ -223,6 +223,14 @@ def test_relation_answers_without_failing(capsys):
     assert run(capsys, ["relation", "--poly", "2", "x1*x2"]) == (0, "true\n")
 
 
+def test_relation_tests_phi_not_left_ideal_membership(capsys):
+    # x2*x1 lies in the left ideal F_2*x1, yet phi(x2*x1) = x2*x1 - x1*x2
+    assert run(capsys, ["relation", "--free", "2", "x2*x1"]) == (0, "false\n")
+    # on A(1,0) phi(x1*x2) = 0 but phi(x2*x1) = phi(x1*x2 + 1) = 1
+    assert run(capsys, ["relation", "--n", "1", "--m", "0", "x1*x2"]) == (0, "true\n")
+    assert run(capsys, ["relation", "--n", "1", "--m", "0", "x2*x1"]) == (0, "false\n")
+
+
 def test_kernel(capsys):
     assert run(capsys, ["kernel", "--free", "2", "--degree", "2"]) == \
         (0, "x2*x1 - x1*x2\n")
@@ -257,6 +265,16 @@ def test_syntax_errors_exit_2(capsys):
     code, out = run(capsys, ["mul", "--poly", "1", "x1^-1", "1"])
     assert code == 2
     assert out.startswith("ERROR syntax:")
+
+
+def test_a_leading_minus_needs_a_double_dash(capsys):
+    # argparse reads "-x1^2" as an option, so the second operand goes missing
+    code = main(["mul", "--poly", "1", "-x1^2", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.endswith("error: the following arguments are required: b\n")
+    assert run(capsys, ["mul", "--poly", "1", "--", "-x1^2", "1"]) == (0, "-x1^2\n")
+    assert run(capsys, ["mul", "--poly", "1", " -x1^2", "1"]) == (0, "-x1^2\n")
 
 
 def test_carrier_selection_is_mandatory_and_exclusive(capsys):

@@ -6,10 +6,11 @@ from random import Random
 import pytest
 
 from lndcalc import (
+    FreeCarrier,
     FreeElement,
     InnerDerivation,
     SignatureMismatchError,
-    parse_free,
+    parse_element,
 )
 from support import is_canonical, random_free
 
@@ -20,19 +21,19 @@ def _gen(i, num_gens=2):
 
 def test_mul_examples():
     assert _gen(0) * _gen(1) == FreeElement.word(2, (0, 1))
-    a = parse_free("x1*x2*x1 + 3", 2)
+    a = parse_element("x1*x2*x1 + 3", FreeCarrier(2))
     assert FreeElement.one(2) * a == a
-    lhs = parse_free("x1 + x2", 2) * parse_free("x1 - x2", 2)
-    assert lhs == parse_free("x1*x1 - x1*x2 + x2*x1 - x2*x2", 2)
+    lhs = parse_element("x1 + x2", FreeCarrier(2)) * parse_element("x1 - x2", FreeCarrier(2))
+    assert lhs == parse_element("x1*x1 - x1*x2 + x2*x1 - x2*x2", FreeCarrier(2))
     # order matters
     assert _gen(0) * _gen(1) != _gen(1) * _gen(0)
 
 
 def test_partial_examples():
-    a = parse_free("x1*x2*x1", 2)
-    assert a.partial(0) == parse_free("x2*x1 + x1*x2", 2)
+    a = parse_element("x1*x2*x1", FreeCarrier(2))
+    assert a.partial(0) == parse_element("x2*x1 + x1*x2", FreeCarrier(2))
     assert _gen(0).partial(1).is_zero()
-    commutator = parse_free("x1*x2 - x2*x1", 2)
+    commutator = parse_element("x1*x2 - x2*x1", FreeCarrier(2))
     assert commutator.partial(0).is_zero()
     assert commutator.partial(1).is_zero()
 
@@ -44,11 +45,11 @@ def test_partial_out_of_range():
 
 def test_ad_examples():
     ad_x1 = InnerDerivation(_gen(0)).apply
-    assert ad_x1(_gen(1)) == parse_free("x1*x2 - x2*x1", 2)
+    assert ad_x1(_gen(1)) == parse_element("x1*x2 - x2*x1", FreeCarrier(2))
     u = random_free(Random(301), 2, 4)
     assert InnerDerivation(u).apply(u).is_zero()
     assert ad_x1(ad_x1(_gen(1))) == \
-        parse_free("x1*x1*x2 - 2*x1*x2*x1 + x2*x1*x1", 2)
+        parse_element("x1*x1*x2 - 2*x1*x2*x1 + x2*x1*x1", FreeCarrier(2))
 
 
 def test_leibniz_and_commuting_partials():
@@ -79,7 +80,7 @@ def test_partials_are_locally_nilpotent():
 
 def test_commutator_family_lies_in_the_joint_kernel():
     # iterated ad-images of [x1,x2] up to total degree 4
-    commutator = parse_free("x1*x2 - x2*x1", 2)
+    commutator = parse_element("x1*x2 - x2*x1", FreeCarrier(2))
     family = [commutator]
     for a in range(3):
         for b in range(3):
@@ -101,11 +102,11 @@ def test_construction_and_queries():
     zero = FreeElement.zero(2)
     assert zero.is_zero()
     assert str(zero) == "0"
-    a = parse_free("x1*x2*x1 - 1/2", 2)
+    a = parse_element("x1*x2*x1 - 1/2", FreeCarrier(2))
     assert str(a) == "x1*x2*x1 - 1/2"
     assert a.constant_term() == Fraction(-1, 2)
     assert a.total_degree() == 3
-    assert a.scale(2) == parse_free("2*x1*x2*x1 - 1", 2)
+    assert a.scale(2) == parse_element("2*x1*x2*x1 - 1", FreeCarrier(2))
     assert (a - a).terms == {}
 
 

@@ -10,12 +10,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lndcalc import (  # noqa: E402
+    CommCarrier,
     CommPoly,
     FreeElement,
     WeylElement,
     WeylSignature,
     enumerate_generators,
-    parse_comm,
+    parse_element,
     standard_system,
 )
 import oracle_taylor  # noqa: E402
@@ -45,7 +46,7 @@ def witness_inputs(draw):
 @given(witness_inputs())
 # two alpha with equal values: c_(0,2,0) = c_(1,0,0) = 1 pins which one
 # deduplication keeps
-@example((CARRIERS["P_3"][0], [parse_comm("x2^2 + x1", 3)], 1, 4))
+@example((CARRIERS["P_3"][0], [parse_element("x2^2 + x1", CommCarrier(3))], 1, 4))
 def test_witnesses_and_order_equal_the_box_enumeration(case):
     system, gens, word_bound, degree_bound = case
     for y in gens:

@@ -7,7 +7,9 @@ import pytest
 
 from lndcalc import (
     CombinationDerivation,
+    CommCarrier,
     CommPoly,
+    FreeCarrier,
     FreeElement,
     LndSystem,
     PartialDerivation,
@@ -18,8 +20,7 @@ from lndcalc import (
     enumerate_generators,
     graded_kernel_oracle,
     log_aut,
-    parse_comm,
-    parse_free,
+    parse_element,
     parse_images,
     relation_check,
     standard_system,
@@ -57,7 +58,7 @@ def test_witnesses_word_bound_zero():
 def test_witnesses_word_bound_one_add_the_commutator():
     witnesses = enumerate_generators(_f2_system(), _f2_generators(), 1, 6)
     values = [w.value for w in witnesses]
-    commutator = parse_free(COMMUTATOR, 2)
+    commutator = parse_element(COMMUTATOR, FreeCarrier(2))
     assert commutator in values
     assert -commutator in values
     x_kinds = [w for w in witnesses if w.kind == "x"]
@@ -67,7 +68,7 @@ def test_witnesses_word_bound_one_add_the_commutator():
 def test_witnesses_word_bound_two_reach_the_iterated_commutators():
     witnesses = enumerate_generators(_f2_system(), _f2_generators(), 2, 6)
     values = [w.value for w in witnesses]
-    commutator = parse_free(COMMUTATOR, 2)
+    commutator = parse_element(COMMUTATOR, FreeCarrier(2))
     x1, x2 = _f2_generators()
     ad1 = x1 * commutator - commutator * x1
     ad2 = x2 * commutator - commutator * x2
@@ -105,7 +106,7 @@ def test_commutative_full_slice_witnesses_are_constant():
 def test_relation_check_examples():
     system = _f2_system()
     assert relation_check(system, FreeElement.zero(2))
-    commutator = parse_free(COMMUTATOR, 2)
+    commutator = parse_element(COMMUTATOR, FreeCarrier(2))
     syntactic_duplicate = commutator * commutator - commutator ** 2
     assert syntactic_duplicate.is_zero()
     assert relation_check(system, syntactic_duplicate)
@@ -132,7 +133,7 @@ def test_oracle_f2_low_degrees():
     assert graded_kernel_oracle(system, 1) == []
     deg2 = graded_kernel_oracle(system, 2)
     assert len(deg2) == 1
-    commutator = parse_free(COMMUTATOR, 2)
+    commutator = parse_element(COMMUTATOR, FreeCarrier(2))
     # the basis element spans the same line as the commutator
     lead = next(iter(deg2[0].terms.values()))
     assert deg2[0].scale(1 / lead) in (commutator, -commutator)
@@ -202,7 +203,7 @@ def test_oracle_reaches_free_components_of_a_few_hundred_words(k, degree, count)
 def test_oracle_p2_single_direction():
     system = LndSystem([PartialDerivation(0)], [CommPoly.variable(2, 0)])
     basis = graded_kernel_oracle(system, 2)
-    assert basis == [parse_comm("x2^2", 2)]
+    assert basis == [parse_element("x2^2", CommCarrier(2))]
 
 
 def test_oracle_rejects_inhomogeneous_directions():
@@ -242,7 +243,7 @@ def test_subalgebra_dimension_without_positive_degree_values():
 
 def test_subalgebra_dimension_requires_homogeneous_values():
     with pytest.raises(UsageError):
-        subalgebra_graded_dimension([parse_free("x1*x2 + x1", 2)], 2)
+        subalgebra_graded_dimension([parse_element("x1*x2 + x1", FreeCarrier(2))], 2)
 
 
 # -- commutative images -------------------------------------------------------------
@@ -289,11 +290,11 @@ def test_weitzenboeck_invariants_examples():
     assert str(values[3]) == "x3 - 1/2*x2^2*x1^-1"
 
     # clearing denominators gives the classical invariant 2 x1 x3 - x2^2
-    cleared = values[3] * parse_comm("2*x1", 3, mask)
-    assert cleared == parse_comm("2*x1*x3 - x2^2", 3, mask)
+    cleared = values[3] * parse_element("2*x1", CommCarrier(3, mask))
+    assert cleared == parse_element("2*x1*x3 - x2^2", CommCarrier(3, mask))
     # direct differentiation oracle: (x1 d2 + x2 d3) kills it
-    delta = parse_comm("x1", 3, mask) * cleared.partial(1) + \
-        parse_comm("x2", 3, mask) * cleared.partial(2)
+    delta = parse_element("x1", CommCarrier(3, mask)) * cleared.partial(1) + \
+        parse_element("x2", CommCarrier(3, mask)) * cleared.partial(2)
     assert delta.is_zero()
 
 

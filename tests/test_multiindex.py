@@ -8,7 +8,6 @@ from lndcalc.multiindex import (
     iter_layer,
     iter_upto,
     multi_factorial,
-    multi_total,
     term_order_key,
 )
 
@@ -31,7 +30,6 @@ def test_iter_upto_is_union_of_layers_by_degree():
 def test_factorial_and_total():
     assert multi_factorial((2, 3)) == 12
     assert multi_factorial(()) == 1
-    assert multi_total((2, 3)) == 5
 
 
 def test_term_order_puts_higher_indices_first():

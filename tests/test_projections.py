@@ -8,18 +8,19 @@ import pytest
 from lndcalc import (
     CapExceededError,
     CombinationDerivation,
+    CommCarrier,
     CommPoly,
+    FreeCarrier,
     FreeElement,
     InnerDerivation,
     LndError,
     LndSystem,
     PartialDerivation,
     TaylorCoefficients,
+    WeylCarrier,
     WeylElement,
     WeylSignature,
-    parse_comm,
-    parse_free,
-    parse_weyl,
+    parse_element,
     standard_system,
 )
 from support import random_comm, random_free, random_weyl
@@ -66,8 +67,8 @@ def test_standard_system_shapes():
 
     sys_free = standard_system(FreeElement.one(2))
     assert sys_free.s == 2
-    assert sys_free.derive(0, parse_free("x1*x2*x1", 2)) == \
-        parse_free("x2*x1 + x1*x2", 2)
+    assert sys_free.derive(0, parse_element("x1*x2*x1", FreeCarrier(2))) == \
+        parse_element("x2*x1 + x1*x2", FreeCarrier(2))
 
 
 def test_system_validation_rejects_bad_slices():
@@ -97,9 +98,9 @@ def test_system_validation_rejects_derivations_moving_a_unit():
 
 def test_order_examples():
     sys_p2 = standard_system(CommPoly.constant(2, 1))
-    assert sys_p2.order(parse_comm("5", 2)) == 0
-    assert sys_p2.order(parse_comm("x1*x2", 2)) == 2
-    assert sys_p2.order(parse_comm("x1", 2)) == 1
+    assert sys_p2.order(parse_element("5", CommCarrier(2))) == 0
+    assert sys_p2.order(parse_element("x1*x2", CommCarrier(2))) == 2
+    assert sys_p2.order(parse_element("x1", CommCarrier(2))) == 1
     with pytest.raises(LndError):
         sys_p2.order(CommPoly.constant(2, 0))
 
@@ -122,17 +123,17 @@ def test_non_nilpotent_directions_hit_the_cap():
 
 def test_phi_examples():
     sys_p3 = _p3_system()
-    assert sys_p3.phi(parse_comm("7/2", 3)) == parse_comm("7/2", 3)
+    assert sys_p3.phi(parse_element("7/2", CommCarrier(3))) == parse_element("7/2", CommCarrier(3))
     for i in range(3):
         for k in range(1, 4):
             assert sys_p3.phi(CommPoly.variable(3, i) ** k).is_zero()
 
     sys_weyl = standard_system(WeylElement.one(A10))
-    assert sys_weyl.phi(parse_weyl("x1*x2 + 1", A10)) == WeylElement.one(A10)
+    assert sys_weyl.phi(parse_element("x1*x2 + 1", WeylCarrier(A10))) == WeylElement.one(A10)
 
     # kernel elements are fixed (partial system, kernel Q[x3])
     part = _p3_partial_system()
-    y = parse_comm("x3^2 + 2*x3", 3)
+    y = parse_element("x3^2 + 2*x3", CommCarrier(3))
     assert part.phi(y) == y
     assert part.psi(y) == y
 
@@ -189,19 +190,19 @@ def test_phi_is_multiplicative_on_commutative_carriers():
 
 def test_taylor_decompose_examples():
     part = _p3_partial_system()
-    y = parse_comm("x3^2 - 4", 3)
+    y = parse_element("x3^2 - 4", CommCarrier(3))
     coeffs = part.taylor_decompose(y)
     assert coeffs.coeffs == {(0, 0): y}
 
     sys_p2 = standard_system(CommPoly.constant(2, 1))
-    coeffs = sys_p2.taylor_decompose(parse_comm("x1^2 + x1*x2", 2))
+    coeffs = sys_p2.taylor_decompose(parse_element("x1^2 + x1*x2", CommCarrier(2)))
     assert coeffs.coeffs == {
         (2, 0): CommPoly.constant(2, 1),
         (1, 1): CommPoly.constant(2, 1),
     }
 
     sys_weyl = standard_system(WeylElement.one(A10))
-    coeffs = sys_weyl.taylor_decompose(parse_weyl("x2*x1", A10))
+    coeffs = sys_weyl.taylor_decompose(parse_element("x2*x1", WeylCarrier(A10)))
     assert coeffs.coeffs == {
         (0, 0): WeylElement.one(A10),
         (1, 1): WeylElement.one(A10),
@@ -210,7 +211,7 @@ def test_taylor_decompose_examples():
 
 def test_taylor_reconstruct_examples():
     part = _p3_partial_system()
-    q = parse_comm("x3^3 + 1", 3)
+    q = parse_element("x3^3 + 1", CommCarrier(3))
     assert part.taylor_reconstruct(TaylorCoefficients(2, {(0, 0): q})) == q
 
     sys_p2 = standard_system(CommPoly.constant(2, 1))
@@ -271,7 +272,7 @@ def test_taylor_noncommutative_sides():
 
 def test_taylor_text_form():
     sys_p2 = standard_system(CommPoly.constant(2, 1))
-    coeffs = sys_p2.taylor_decompose(parse_comm("x1^2 + x1*x2", 2))
+    coeffs = sys_p2.taylor_decompose(parse_element("x1^2 + x1*x2", CommCarrier(2)))
     assert str(coeffs) == "alpha=(1,1): 1\nalpha=(2,0): 1"
     assert str(sys_p2.taylor_decompose(CommPoly.constant(2, 0))) == "alpha: none"
 
@@ -287,7 +288,7 @@ def test_combination_derivation_system():
     system = LndSystem([d], [x1])
     assert system.derive(0, x1) == CommPoly.constant(2, 1)
     value = system.phi(CommPoly.variable(2, 1))
-    assert value == parse_comm("x2 - 1/2*x1^2 + 1/2*x1", 2)
+    assert value == parse_element("x2 - 1/2*x1^2 + 1/2*x1", CommCarrier(2))
     assert system.derive(0, value).is_zero()
 
 

@@ -1,4 +1,5 @@
-"""Property tests on generated tame automorphisms of P_m and of A(n, m)
+"""Property tests on generated tame automorphisms of P_m and of A(n, m),
+and print-then-parse on generated elements of all three carriers
 (needs hypothesis; skipped without it).  Examples are derandomized and few, so the run is fixed
 and short."""
 
@@ -9,17 +10,22 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from lndcalc import (  # noqa: E402
     Automorphism,
+    CommCarrier,
+    CommPoly,
+    FreeCarrier,
     JacobianError,
     LndSystem,
+    WeylCarrier,
     WeylElement,
     WeylSignature,
     aut_compose,
     aut_verify,
     invert,
+    parse_element,
     twisted_partials,
     twisted_system,
 )
@@ -213,3 +219,45 @@ def test_delta_is_the_sympy_determinant_of_the_central_jacobian(sig, data):
             aut_verify(sig, images)
         assert str(err.value) == message
         assert (code, out.getvalue()) == (1, f"ERROR jacobian: {message}\n")
+
+
+# -- format(parse(text)) == text on all three carriers -------------------------
+
+PRINT_CARRIERS = [
+    CommCarrier(3),
+    CommCarrier(3, frozenset({0})),
+    WeylCarrier(WeylSignature(1, 1)),
+    FreeCarrier(2),
+]
+
+
+@st.composite
+def printed_elements(draw):
+    """(carrier, element): up to five terms over P_3 (plain, or Laurent in
+    x1), A(1,1) or F_2, exponents up to 3 (down to -3 on x1 when Laurent),
+    words up to length 4."""
+    carrier = draw(st.sampled_from(PRINT_CARRIERS))
+    if isinstance(carrier, FreeCarrier):
+        keys = st.lists(st.integers(0, 1), max_size=4).map(tuple)
+    else:
+        mask = getattr(carrier, "laurent_mask", frozenset())
+        keys = st.tuples(*(st.integers(-3 if i in mask else 0, 3)
+                           for i in range(carrier.count)))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    terms = draw(st.dictionaries(keys, coeffs, max_size=5))
+    return carrier, carrier.constant(1).like(terms)
+
+
+LAURENT_CASE = (CommCarrier(3, frozenset({0})),
+                CommPoly(3, {(-3, 1, 0): Fraction(-7, 2), (2, 0, 3): 1}, frozenset({0})))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(printed_elements())
+@example(LAURENT_CASE)
+def test_print_then_parse_is_the_identity_and_reprints_byte_for_byte(case):
+    carrier, a = case
+    text = str(a)
+    back = parse_element(text, carrier)
+    assert back == a
+    assert str(back) == text

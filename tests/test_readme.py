@@ -1,5 +1,6 @@
 """The ``$ lndcalc ...`` examples of README.md, run through ``cli.main``: each
-printed block must match the README byte for byte."""
+printed block must match the README byte for byte.  Each ``python`` block (the
+library quick tour) is executed, so its imports and asserts stay current."""
 
 import re
 import shlex
@@ -23,6 +24,7 @@ def _examples() -> list[tuple[str, str]]:
 
 
 EXAMPLES = _examples()
+PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
 
 
 def test_the_readme_has_its_eleven_examples():
@@ -35,3 +37,12 @@ def test_readme_example_prints_its_block(command, printed, capsys):
     assert argv[0] == "lndcalc"
     main(argv[1:])
     assert capsys.readouterr().out == printed
+
+
+def test_the_readme_has_its_quick_tour():
+    assert len(PYTHON_BLOCKS) == 1
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS)
+def test_readme_python_block_runs(source):
+    exec(compile(source, str(README), "exec"), {})
