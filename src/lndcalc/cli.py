@@ -14,6 +14,12 @@ Carrier selection (exactly one):
     --free K      the free algebra on K generators
 
 Variables are written x1..xs everywhere, 1-based.
+
+``main(argv)`` builds a parser that knows every subcommand name, but gives
+options and arguments only to the subcommand named by ``argv[0]``; when
+``argv[0]`` names none (no arguments, ``-h``, an unknown name) every
+subcommand gets its arguments.  Usage, help and error output are the same
+either way.  The parser is built anew on each call.
 """
 
 from __future__ import annotations
@@ -130,18 +136,20 @@ def _read_table_lines(stream, sig: WeylSignature):
 
 
 def _read_series_lines(stream, sig: WeylSignature) -> DiffOpSeries:
-    """Lines "d^(a1,..,as): expr" -> DiffOpSeries (order = largest |alpha|)."""
+    """Lines "d^(a1,..,as): expr", as DiffOpSeries prints them, -> DiffOpSeries
+    (order = largest |alpha|)."""
     carrier = WeylCarrier(sig)
+    opening = DiffOpSeries.head + "("
     coeffs = {}
     for raw in stream.read().splitlines():
         line = raw.strip()
-        if not line or line == "0":
+        if not line or line == DiffOpSeries.empty:
             continue
         left, sep, right = line.partition(":")
         left = left.strip()
-        if not sep or not (left.startswith("d^(") and left.endswith(")")):
-            raise UsageError(f"series line {line!r}; expected \"d^(a1,..): expr\"")
-        alpha = _parse_index_list(left[3:-1], sig.s)
+        if not sep or not (left.startswith(opening) and left.endswith(")")):
+            raise UsageError(f"series line {line!r}; expected \"{opening}a1,..): expr\"")
+        alpha = _parse_index_list(left[len(opening):-1], sig.s)
         coeffs[alpha] = parse_element(right.strip(), carrier)
     order = max((sum(a) for a in coeffs), default=0)
     return DiffOpSeries(sig, order, coeffs)
@@ -259,117 +267,100 @@ def _cmd_weitzenboeck(args) -> str:
 # -- parser construction --------------------------------------------------------
 
 
-def _add_carrier_flags(p: argparse.ArgumentParser, weyl_only: bool = False) -> None:
-    p.add_argument("--n", type=int, default=None, help="Weyl pairs of A(n,m)")
-    p.add_argument("--m", type=int, default=None, help="central variables of A(n,m)")
-    if not weyl_only:
-        p.add_argument("--poly", type=int, default=None, metavar="V",
-                       help="commutative carrier with V variables")
-        p.add_argument("--laurent", type=str, default="", metavar="LIST",
-                       help="1-based invertible variable indices (with --poly)")
-        p.add_argument("--free", type=int, default=None, metavar="K",
-                       help="free algebra on K generators")
+def _arg(name: str, **kwargs) -> tuple[str, dict]:
+    return name, kwargs
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_WEYL = (
+    _arg("--n", type=int, default=None, help="Weyl pairs of A(n,m)"),
+    _arg("--m", type=int, default=None, help="central variables of A(n,m)"),
+)
+_ANY = _WEYL + (
+    _arg("--poly", type=int, default=None, metavar="V",
+         help="commutative carrier with V variables"),
+    _arg("--laurent", type=str, default="", metavar="LIST",
+         help="1-based invertible variable indices (with --poly)"),
+    _arg("--free", type=int, default=None, metavar="K",
+         help="free algebra on K generators"),
+)
+_CAP = _arg("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
+_EXPR = _arg("expr")
+_AUT = _arg("--aut", required=True)
+
+# name -> (handler, help, carrier flags, arguments), in the order of the
+# top-level usage and help
+_COMMANDS = {
+    "mul": (_cmd_mul, "normal-ordered product of two expressions", _ANY,
+            (_arg("a"), _arg("b"))),
+    "partial": (_cmd_partial, "i-th partial derivative", _ANY,
+                (_arg("--i", type=int, required=True, help="1-based direction"), _EXPR)),
+    "project": (_cmd_project, "projection onto the invariant subalgebra", _ANY,
+                (_arg("--map", choices=("phi", "psi"), default="phi"), _CAP, _EXPR)),
+    "taylor": (_cmd_taylor, "Taylor coefficients over the coordinate slices", _ANY,
+               (_CAP, _EXPR)),
+    "invert": (_cmd_invert, "inverse of an automorphism of A(n,m)", _WEYL,
+               (_arg("--aut", required=True, help='"x1 -> expr; x2 -> expr; ..."'),)),
+    "verify": (_cmd_verify, "check the defining relations of images", _WEYL, (_AUT,)),
+    "compose": (_cmd_compose, "composition: --aut applied after --aut2", _WEYL,
+                (_AUT, _arg("--aut2", required=True))),
+    "log-aut": (_cmd_log_aut, "logarithm of a unipotent automorphism", _WEYL, (_AUT,)),
+    "exp-der": (_cmd_exp_der, "exponential of a locally nilpotent derivation", _WEYL,
+                (_arg("--der", required=True, help='"x1 -> expr; ..." generator values'),)),
+    "aut-series": (_cmd_aut_series, "differential operator series of a "
+                   "polynomial automorphism (n = 0)", _WEYL,
+                   (_AUT, _arg("--max-order", type=int, default=6))),
+    "map-series": (_cmd_map_series, "solve for the series of a linear map "
+                   "tabulated on stdin as lines \"a1,..,as : expr\"", _WEYL,
+                   (_arg("--max-order", type=int, required=True),)),
+    "apply-series": (_cmd_apply_series, "apply a series read from stdin "
+                     "(lines \"d^(a1,..): expr\") to an expression", _WEYL, (_EXPR,)),
+    "invariants": (_cmd_invariants, "enumerate invariant-ring generator "
+                   "witnesses over the coordinate system", _ANY,
+                   (_arg("--gens", type=str, default=None,
+                         help="semicolon-separated generating set (default: variables)"),
+                    _arg("--word-bound", type=int, default=2),
+                    _arg("--degree-bound", type=int, default=6), _CAP)),
+    "relation": (_cmd_relation, "does phi map the expression to zero? "
+                 "(slice-ideal membership on commutative carriers only)", _ANY,
+                 (_CAP, _EXPR)),
+    "kernel": (_cmd_kernel, "exact basis of the joint kernel on one "
+               "homogeneous component", _ANY,
+               (_arg("--degree", type=int, required=True), _CAP)),
+    "weitzenboeck": (_cmd_weitzenboeck, "invariants of the localized "
+                     "triangular derivation x1 d2 + ... + x_{n-1} d_n", (),
+                     (_arg("--n", type=int, required=True,
+                           help="number of variables (>= 3)"),)),
+}
+
+
+def _build_parser(selected: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand name; only ``selected`` gets its
+    arguments, or every subcommand when ``selected`` is None."""
     parser = argparse.ArgumentParser(
         prog="lndcalc",
         description="Exact calculator for algebras with commuting locally "
         "nilpotent derivations: projections, Taylor decompositions, "
         "automorphism inversion, exp/log, operator series, invariants.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", type=str, default=None,
-                        help="also write the output text to this file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, weyl_only=False, carrier=True):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if carrier:
-            _add_carrier_flags(p, weyl_only=weyl_only)
+    for name, (func, help_text, carrier, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if selected not in (None, name):
+            continue
+        p.add_argument("--out", type=str, default=None,
+                       help="also write the output text to this file")
+        for flag, kwargs in carrier + arguments:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
-        return p
-
-    p = add("mul", _cmd_mul, "normal-ordered product of two expressions")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("partial", _cmd_partial, "i-th partial derivative")
-    p.add_argument("--i", type=int, required=True, help="1-based direction")
-    p.add_argument("expr")
-
-    p = add("project", _cmd_project, "projection onto the invariant subalgebra")
-    p.add_argument("--map", choices=("phi", "psi"), default="phi")
-    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
-    p.add_argument("expr")
-
-    p = add("taylor", _cmd_taylor, "Taylor coefficients over the coordinate slices")
-    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
-    p.add_argument("expr")
-
-    p = add("invert", _cmd_invert, "inverse of an automorphism of A(n,m)",
-            weyl_only=True)
-    p.add_argument("--aut", required=True, help='"x1 -> expr; x2 -> expr; ..."')
-
-    p = add("verify", _cmd_verify, "check the defining relations of images",
-            weyl_only=True)
-    p.add_argument("--aut", required=True)
-
-    p = add("compose", _cmd_compose, "composition: --aut applied after --aut2",
-            weyl_only=True)
-    p.add_argument("--aut", required=True)
-    p.add_argument("--aut2", required=True)
-
-    p = add("log-aut", _cmd_log_aut, "logarithm of a unipotent automorphism",
-            weyl_only=True)
-    p.add_argument("--aut", required=True)
-
-    p = add("exp-der", _cmd_exp_der, "exponential of a locally nilpotent derivation",
-            weyl_only=True)
-    p.add_argument("--der", required=True, help='"x1 -> expr; ..." generator values')
-
-    p = add("aut-series", _cmd_aut_series, "differential operator series of a "
-            "polynomial automorphism (n = 0)", weyl_only=True)
-    p.add_argument("--aut", required=True)
-    p.add_argument("--max-order", type=int, default=6)
-
-    p = add("map-series", _cmd_map_series, "solve for the series of a linear map "
-            "tabulated on stdin as lines \"a1,..,as : expr\"", weyl_only=True)
-    p.add_argument("--max-order", type=int, required=True)
-
-    p = add("apply-series", _cmd_apply_series, "apply a series read from stdin "
-            "(lines \"d^(a1,..): expr\") to an expression", weyl_only=True)
-    p.add_argument("expr")
-
-    p = add("invariants", _cmd_invariants, "enumerate invariant-ring generator "
-            "witnesses over the coordinate system")
-    p.add_argument("--gens", type=str, default=None,
-                   help="semicolon-separated generating set (default: variables)")
-    p.add_argument("--word-bound", type=int, default=2)
-    p.add_argument("--degree-bound", type=int, default=6)
-    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
-
-    p = add("relation", _cmd_relation, "does phi map the expression to zero? "
-            "(slice-ideal membership on commutative carriers only)")
-    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
-    p.add_argument("expr")
-
-    p = add("kernel", _cmd_kernel, "exact basis of the joint kernel on one "
-            "homogeneous component")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=NILPOTENCE_CAP, help="nilpotence cap")
-
-    p = add("weitzenboeck", _cmd_weitzenboeck, "invariants of the localized "
-            "triangular derivation x1 d2 + ... + x_{n-1} d_n", carrier=False)
-    p.add_argument("--n", type=int, required=True, help="number of variables (>= 3)")
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    selected = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(selected).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -379,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         text = f"ERROR {exc.code}: {exc}"
         status = 2 if exc.code in ("usage", "syntax") else 1
     print(text)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return status

@@ -1,10 +1,14 @@
 """End-to-end command line behavior: goldens, exit codes, stdin tables."""
 
+import argparse
 import io
 
 import pytest
 
-from lndcalc.cli import main
+import lndcalc.cli
+from lndcalc import WeylSignature, aut_verify, parse_element, parse_images
+from lndcalc.cli import _build_parser, main
+from lndcalc.parsing import WeylCarrier
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -202,6 +206,23 @@ def test_apply_series_from_stdin(capsys, monkeypatch):
     assert (code, out) == (0, "x1^2 + 2*x1 + 1\n")
 
 
+@pytest.mark.parametrize("images, expr", [
+    ("x1 -> x1 + 1; x2 -> x2 + x1^2", "x1^2*x2 + 3*x2^2 - x1"),
+    ("x1 -> x1 - 2; x2 -> x2 + 1/2*x1^3 - x1", "x2^3 + x1*x2 + 1"),
+])
+def test_aut_series_output_is_apply_series_input(capsys, monkeypatch, images, expr):
+    # truncated at order 3 the series is exact on expressions of degree <= 3
+    flags = ["--n", "0", "--m", "2"]
+    code, series = run(capsys, ["aut-series", *flags, "--aut", images,
+                                "--max-order", "3"])
+    assert code == 0
+    code, out = run(capsys, ["apply-series", *flags, expr],
+                    stdin=series, monkeypatch=monkeypatch)
+    carrier = WeylCarrier(WeylSignature(0, 2))
+    aut = aut_verify(carrier.signature, parse_images(images, carrier))
+    assert (code, out) == (0, f"{aut.apply(parse_element(expr, carrier))}\n")
+
+
 def test_invariants_listing(capsys):
     code, out = run(capsys, ["invariants", "--free", "2", "--word-bound", "1"])
     assert code == 0
@@ -287,6 +308,50 @@ def test_carrier_selection_is_mandatory_and_exclusive(capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# -- parser construction -------------------------------------------------------------
+
+NAMES = ("mul", "partial", "project", "taylor", "invert", "verify", "compose",
+         "log-aut", "exp-der", "aut-series", "map-series", "apply-series",
+         "invariants", "relation", "kernel", "weitzenboeck")
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_selected_build_prints_the_help_of_the_full_build(name):
+    # the full build is the oracle; help text varies across Python versions
+    full, selected = _build_parser(None), _build_parser(name)
+    assert selected.format_help() == full.format_help()
+    assert (_subparsers(selected)[name].format_help()
+            == _subparsers(full)[name].format_help())
+    for other, sub in _subparsers(selected).items():
+        if other != name:
+            assert [a.dest for a in sub._actions] == ["help"], other
+
+
+def test_unrecognized_arguments_list_every_subcommand(capsys):
+    assert main(["mul", "--poly", "3", "x1", "x2", "x3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "{" + ",".join(NAMES) + "}" in captured.err
+    assert captured.err.endswith("error: unrecognized arguments: x3\n")
+
+
+def test_main_reads_sys_argv_and_selects_its_subcommand(capsys, monkeypatch):
+    built = []
+    build = lndcalc.cli._build_parser
+    monkeypatch.setattr(lndcalc.cli, "_build_parser",
+                        lambda selected: built.append(selected) or build(selected))
+    monkeypatch.setattr("sys.argv", ["lndcalc", "mul", "--poly", "1", "x1", "x1"])
+    assert run(capsys, None) == (0, "x1^2\n")
+    assert main(["frobnicate"]) == 2
+    assert main(["-h"]) == 0
+    assert built == ["mul", None, None]
 
 
 def test_out_flag_writes_the_same_text(capsys, tmp_path):
