@@ -17,11 +17,13 @@ s(x_i), and then certifies the result by composing back.
 
 Each coefficient is a constant, so ``invert`` reads only its constant term
 eps in the normal form, off one walk of the table per generator
-(``LndSystem._taylor_at_zero``).  With p the momenta and z the central
-generators, eps vanishes on the two-sided ideal (z) and on the left ideal
-A p + A z; c_alpha sums left multiples of the entries d'^gamma x_i by slice
-powers, so the walk takes every slice mod z and keeps of every entry its
-terms in x_1..x_n.  On P_m this is evaluation at 0; with y = s(x)(0):
+(``LndSystem._taylor_at_zero``).  With x the coordinates, p the momenta
+and z the central generators, eps vanishes on the right ideal xA + zA and on
+the left ideal Ap + Az, so eps(c_alpha) pairs the terms in p alone of the
+slice products t_s^beta_s ... t_1^beta_1 (slices mod z, formed in closed
+form once per system) with the terms in x alone of the entries
+d'^(alpha+beta) x_i; no element is multiplied.  On P_m this is evaluation
+at 0; with y = s(x)(0):
 
     c_alpha = sum_{gamma >= alpha} (d'^gamma x_i)(0) (-y)^(gamma-alpha) / (alpha! (gamma-alpha)!)
 
@@ -266,7 +268,7 @@ def twisted_system(aut: Automorphism) -> LndSystem:
 def invert(aut: Automorphism) -> Automorphism:
     """Inversion formula: s^{-1}(x_i) = sum_alpha x^alpha phi'(d'^alpha x_i / alpha!).
 
-    Each coefficient is read as its constant term, off one cut walk per
+    Each coefficient is read as its constant term, off one pairing walk per
     generator; the candidate t is verified and certified by s(t(x_i)) = x_i
     alone, which suffices as A(n, m) is Noetherian (module docstring).
     """

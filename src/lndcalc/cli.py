@@ -40,7 +40,7 @@ from .automorphisms import (
     map_to_series,
     series_apply,
 )
-from .errors import LndError, ParseError, UsageError
+from .errors import LndError, UsageError
 from .invariants import (
     enumerate_generators,
     graded_kernel_oracle,
@@ -75,8 +75,8 @@ def _parse_laurent(text: str, num_vars: int) -> frozenset[int]:
 
 def _carrier_from(args) -> CommCarrier | WeylCarrier | FreeCarrier:
     weyl = args.n is not None or args.m is not None
-    poly = getattr(args, "poly", None) is not None
-    free = getattr(args, "free", None) is not None
+    poly = args.poly is not None
+    free = args.free is not None
     if sum((weyl, poly, free)) != 1:
         raise UsageError("select exactly one carrier: --n/--m, --poly, or --free")
     if free:

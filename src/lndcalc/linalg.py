@@ -1,11 +1,11 @@
 """Tiny exact linear algebra over the rationals.
 
-Just enough for the brute-force kernel oracle and rank computations: reduced
-row echelon form, rank, and a canonical nullspace basis.  Callers pass and
-receive dense lists; elimination itself runs on sparse rows ({column:
-Fraction}, zeros never stored), since the kernel oracle's matrices are a few
-percent nonzero.  The reduced row echelon form is unique, so the results do
-not depend on the elimination order.
+Just enough for the brute-force kernel oracle and rank computations: rank
+and a canonical nullspace basis, both read off one reduced row echelon
+form.  Callers pass and receive dense lists; elimination itself runs on
+sparse rows ({column: Fraction}, zeros never stored), since the kernel
+oracle's matrices are a few percent nonzero.  The reduced row echelon form
+is unique, so the results do not depend on the elimination order.
 """
 
 from __future__ import annotations
@@ -55,16 +55,6 @@ def _reduce(rows: Matrix) -> dict[int, SparseRow]:
                 else:
                     del row[c]
     return {p: echelon[p] for p in pivots}
-
-
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy, zero rows last) and the pivot column
-    list."""
-    ncols = len(rows[0]) if rows else 0
-    reduced = _reduce(rows)
-    mat = [[row.get(c, _ZERO) for c in range(ncols)] for row in reduced.values()]
-    mat.extend([_ZERO] * ncols for _ in range(len(rows) - len(mat)))
-    return mat, list(reduced)
 
 
 def rank(rows: Matrix) -> int:

@@ -24,7 +24,7 @@ left coefficients read off one table of iterated derivatives d^gamma a:
     c_alpha = sum_beta (-1)^|beta| t_s^beta_s ... t_1^beta_1 d^(alpha+beta) a
               / (alpha! beta!)
 
-The one walk of this table, ``_staged``, stages it direction by direction,
+``taylor_decompose`` stages this table direction by direction (``_staged``),
 
     P_0[g] = d^g a,   P_j[g] = sum_k (-1)^k/k! t_j^k P_(j-1)[g + k e_j],
 
@@ -33,19 +33,37 @@ formed once.  The table is walked depth first, direction s outermost and
 direction 1 innermost, and each column b, d_j b, d_j^2 b, ... is derived
 lazily: an entry's sub-table is staged before the next entry is derived,
 so the products of phi_1 form in the same order as in phi(a), and a cap
-error stops the walk before the rest of the table exists.  Each consumer
-folds this walk: ``taylor_decompose`` takes the entries and slice powers
-(formed once per call) as they are; ``_taylor_at_zero``, the inversion of
-``automorphisms.invert``, takes the slices mod the centre and the entries'
-terms in x_1..x_n, which keeps the constant term of every c_alpha on A(n, m)
-(on P_m: evaluation at 0); ``order`` keeps the largest |gamma|.  The ``z``
-witnesses of ``invariants`` are the c_alpha.
+error stops the walk before the rest of the table exists.  ``_table``
+yields the nonzero entries in this order, with the same derive calls and
+cap rule; ``order`` keeps the largest |gamma| of its entries, and the
+``z`` witnesses of ``invariants`` are the c_alpha.
+
+``_taylor_at_zero``, the inversion of ``automorphisms.invert``, needs only
+eps(c_alpha) on A(n, m), eps the constant term of the normal form.  With x
+the coordinates, p the momenta and z the centre, eps vanishes on the right
+ideal xA + zA and on the left ideal Ap + Az, so
+
+    eps(u D) = <pi_L(u), pi_R(D)>,   <p^j, x^k> = delta_jk j!,
+
+where pi_L(u) keeps the terms of u in p alone and pi_R(D) those of D in x
+alone.  Hence, off the entries of ``_table``,
+
+    eps(c_alpha) = sum_beta (-1)^|beta| <w_beta, v_(alpha+beta)> / (alpha! beta!)
+
+with v_gamma = pi_R(d^gamma a) and w_beta = pi_L(t_s^beta_s ... t_1^beta_1).
+As xA + zA is a right ideal, w_beta = pi_L(w_(beta - e_j) t_j) with j the
+lowest index in beta: a polynomial in p times a slice taken mod z, formed in
+closed form once per system (``_pairing_row``).  No entry is multiplied and
+no slice power is formed; on P_m the w_beta are the scalars t(0)^beta, and
+eps(c_alpha) is evaluation at 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, perm, prod
+from operator import add, le, sub
 
 from .errors import CapExceededError, LndError, SignatureMismatchError, UsageError
 from .formatting import Scalar, canonical
@@ -183,7 +201,7 @@ class LndSystem:
     usage error.
     """
 
-    __slots__ = ("derivations", "slices", "nilpotence_cap", "_one", "_zero")
+    __slots__ = ("derivations", "slices", "nilpotence_cap", "_one", "_zero", "_rows")
 
     def __init__(
         self,
@@ -203,6 +221,7 @@ class LndSystem:
         self.nilpotence_cap = nilpotence_cap
         self._one = slices[0] ** 0
         self._zero = slices[0].scale(0)
+        self._rows: dict = {}  # _pairing_row's cache
         if check:
             self._validate()
 
@@ -278,12 +297,26 @@ class LndSystem:
                 f"iterated derivatives of order beyond cap {self.nilpotence_cap}"
             )
 
+    def _table(self, j: int, b: Element, tail: MultiIndex = ()):
+        """Yield (gamma, d^gamma b) for the nonzero entries of the table of b
+        in directions 1..j (``tail`` holds the indices spent above j): depth
+        first, direction j outermost, each column derived lazily under the
+        cap rule, so the derive calls are those of ``_staged``."""
+        if j == 0:
+            yield tail, b
+            return
+        i, grade, l = j - 1, sum(tail), 0
+        while not b.is_zero():
+            self._check_depth(grade + l)
+            yield from self._table(i, b, (l,) + tail)
+            b = self.derive(i, b)
+            l += 1
+
     def order(self, a: Element) -> int:
-        """Largest |alpha| with d^alpha(a) != 0: with zero slice terms the
-        walk leaves each nonzero entry at its own index."""
+        """Largest |alpha| with d^alpha(a) != 0."""
         if a.is_zero():
             raise LndError("the zero element has no order")
-        return max(map(sum, self._coefficients(a, [self._zero] * self.s, lambda tail, b: 1)))
+        return max(sum(gamma) for gamma, _ in self._table(self.s, a))
 
     # -- projections ---------------------------------------------------------
 
@@ -325,50 +358,31 @@ class LndSystem:
     def taylor_decompose(self, a: Element) -> TaylorCoefficients:
         """The coefficient map alpha -> phi(d^alpha a / alpha!), zeros dropped,
         read off one table of iterated derivatives (see the module docstring)."""
-        return TaylorCoefficients(self.s, self._coefficients(a, self.slices, lambda tail, b: b))
-
-    def _taylor_at_zero(self, a: Element) -> dict[MultiIndex, Scalar]:
-        """{alpha: constant term of c_alpha} for ``taylor_decompose(a)`` on
-        A(n, m), zeros dropped: the walk with the slices mod the centre and
-        the entries cut to their terms in x_1..x_n (module docstring)."""
-        n = a.signature.n
-
-        def cut(b: Element, stop: int) -> Element:
-            return b._like({e: c for e, c in b.terms.items() if not any(e[stop:])})
-
-        slices = [cut(t, 2 * n) for t in self.slices]
-        table = self._coefficients(a, slices, lambda tail, b: cut(b, n))
-        return {alpha: c for alpha, v in table.items() if (c := v.constant_term())}
-
-    def _coefficients(self, a: Element, slices, leaf) -> dict:
-        """{alpha: P_s[alpha] / alpha!} with table entries read as
-        ``leaf(gamma, d^gamma a)`` and slices ``slices``."""
-        terms = [[t ** 0, -t] for t in slices]
+        terms = [[t ** 0, -t] for t in self.slices]
 
         def slice_term(i: int, k: int):
             """(-1)^k/k! t_i^k, each formed once per call."""
             tm = terms[i]
             while len(tm) <= k:
-                tm.append((tm[-1] * slices[i]) * Fraction(-1, len(tm)))
+                tm.append((tm[-1] * self.slices[i]) * Fraction(-1, len(tm)))
             return tm[k]
 
         out = {}
-        for alpha, val in self._staged(self.s, a, (), slice_term, leaf).items():
+        for alpha, val in self._staged(self.s, a, 0, slice_term).items():
             f = multi_factorial(alpha)
             out[alpha] = val if f == 1 else val * Fraction(1, f)
-        return out
+        return TaylorCoefficients(self.s, out)
 
-    def _staged(self, j: int, b: Element, tail: MultiIndex, slice_term, leaf) -> dict:
+    def _staged(self, j: int, b: Element, grade: int, slice_term) -> dict:
         """{(g_1..g_j): P_j[g_1..g_j]} over the table of b (module docstring).
 
         Each column entry's sub-table is staged and folded into column index
         0, as phi_j would, before the next entry is derived; the other
-        indices are folded once the column ends.  ``tail`` holds the column
-        indices spent in directions above j; ``slice_term(i, k)`` is
-        (-1)^k/k! t_(i+1)^k, and ``leaf(gamma, d^gamma a)`` is the value of a
-        nonzero table entry (P_0)."""
+        indices are folded once the column ends.  ``grade`` is the order
+        spent in directions above j, and ``slice_term(i, k)`` is
+        (-1)^k/k! t_(i+1)^k."""
         if j == 0:
-            return {(): leaf(tail, b)}
+            return {(): b}
         i = j - 1
         out: dict = {}
         cols: list[dict | None] = []
@@ -377,8 +391,6 @@ class LndSystem:
             # P_j[g, start] += (-1)^k/k! t_j^k P_(j-1)[g, l] with k = l - start
             k = l - start
             term = slice_term(i, k)
-            if term.is_zero():  # a zero cut slice (or order's) adds nothing
-                return
             for sub, val in cols[l].items():
                 if k:
                     val = term * val
@@ -386,10 +398,10 @@ class LndSystem:
                 prev = out.get(key)
                 out[key] = val if prev is None else prev + val
 
-        cur, grade = b, sum(tail)
+        cur = b
         while not cur.is_zero():
             self._check_depth(grade + len(cols))
-            cols.append(self._staged(i, cur, (len(cols),) + tail, slice_term, leaf))
+            cols.append(self._staged(i, cur, grade + len(cols), slice_term))
             fold(len(cols) - 1, 0)
             cur = self.derive(i, cur)
         for l in range(1, len(cols)):
@@ -397,6 +409,49 @@ class LndSystem:
                 fold(l, start)
             cols[l] = None
         return out
+
+    def _taylor_at_zero(self, a: Element) -> dict[MultiIndex, Scalar]:
+        """{alpha: eps(c_alpha)} for ``taylor_decompose(a)`` on A(n, m), eps
+        the constant term, zeros dropped, by the pairing of the module
+        docstring: one walk of the table, no product of elements."""
+        n = a.signature.n
+        acc: dict[MultiIndex, Scalar] = {}
+        for gamma, entry in self._table(self.s, a):
+            # v_gamma with <p^J, x^J> = J! folded in
+            v = [(e[:n], c * multi_factorial(e[:n]))
+                 for e, c in entry.terms.items() if not any(e[n:])]
+            if not v:
+                continue
+            for beta in product(*(range(g + 1) for g in gamma)):
+                w = self._pairing_row(beta)
+                if pair := sum(c * w[key] for key, c in v if key in w):
+                    alpha = tuple(map(sub, gamma, beta))
+                    acc[alpha] = acc.get(alpha, 0) + pair
+        return {alpha: c for alpha, v in acc.items()
+                if (c := canonical(Fraction(v, multi_factorial(alpha))))}
+
+    def _pairing_row(self, beta: MultiIndex) -> dict[MultiIndex, Scalar]:
+        """(-1)^|beta|/beta! w_beta as {J: coefficient of p^J}, formed once
+        per system by the right product w_beta = pi_L(w_(beta - e_j) t_j), j
+        the lowest index in beta, with t_j taken mod the centre."""
+        if (w := self._rows.get(beta)) is not None:
+            return w
+        n = self._one.signature.n
+        if not any(beta):
+            w = {(0,) * n: 1}
+        else:
+            j = next(i for i, b in enumerate(beta) if b)
+            w = {}
+            for key, cw in self._pairing_row(beta[:j] + (beta[j] - 1,) + beta[j + 1:]).items():
+                for e, ct in self.slices[j].terms.items():
+                    x, p = e[:n], e[n:2 * n]
+                    # pi_L(p^J x^a p^b) = J!/(J-a)! p^(J-a+b), 0 unless a <= J
+                    if not any(e[2 * n:]) and all(map(le, x, key)):
+                        k = tuple(map(add, map(sub, key, x), p))
+                        w[k] = w.get(k, 0) + cw * ct * prod(map(perm, key, x))
+            w = {k: canonical(Fraction(-c, beta[j])) for k, c in w.items() if c}
+        self._rows[beta] = w
+        return w
 
     def slice_monomial(self, alpha: MultiIndex) -> Element:
         """t^alpha = t_1^a1 * ... * ts^as, factors in system order."""

@@ -23,6 +23,11 @@ MAP_A11 = (1, 1, "x1 -> x1 + x3^3; x2 -> x2 + x1^2*x3 - x1; x3 -> x3 + 1")
 MAP_A20 = (2, 0, "x1 -> x1; x2 -> x2; x3 -> x3 + 2*x1*x2 + 4*x1^3; "
                  "x4 -> x4 + x1^2 + 3*x2^2")
 
+# the n > 0 reach maps of ROADMAP.md on A(1,0) as shears (j, f): x_j -> x_j + f
+# with f in the other generator, outermost first (``sheared_a10``)
+A10_P5Q4 = ((1, "2*x1^5"), (0, "x2^4"))
+A10_P4Q3P2 = ((1, "x1^4"), (0, "x2^3"), (1, "x1^2"))
+
 
 def verified_map(n: int, m: int, text: str):
     sig = WeylSignature(n, m)
@@ -33,6 +38,21 @@ def twisted_unchecked(n: int, m: int, text: str) -> LndSystem:
     """The twisted system of a map, built without validation."""
     aut = verified_map(n, m, text)
     return LndSystem(twisted_partials(aut), list(aut.images), check=False)
+
+
+def sheared_a10(shears):
+    """The map shear_1 o shear_2 o ... of A(1,0) and its inverse, composed
+    of the shears' inverses x_j -> x_j - f in reverse order; both verified."""
+    aut = inverse = None
+    for j, f in shears:
+        images, back = ["x1", "x2"], ["x1", "x2"]
+        images[j] += f" + {f}"
+        back[j] += f" - ({f})"
+        step = verified_map(1, 0, f"x1 -> {images[0]}; x2 -> {images[1]}")
+        step_inv = verified_map(1, 0, f"x1 -> {back[0]}; x2 -> {back[1]}")
+        aut = step if aut is None else aut_compose(aut, step)
+        inverse = step_inv if inverse is None else aut_compose(step_inv, inverse)
+    return aut, inverse
 
 
 def is_canonical(c) -> bool:

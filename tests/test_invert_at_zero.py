@@ -1,11 +1,13 @@
 """Inversion from constant terms against the table-driven Taylor path.
 
 ``invert`` reads the constant term eps(c_alpha) of each Taylor coefficient
-off one walk with the slices taken mod the centre and the table entries cut
-to their terms in x_1..x_n (``LndSystem._taylor_at_zero``); on P_m that is
-evaluation at 0.  The constant terms of ``taylor_decompose`` are the oracle.
-"""
+off one walk of the derivative table, pairing the terms in x_1..x_n of each
+entry with the terms in the momenta alone of the slice products, the slices
+taken mod the centre (``LndSystem._taylor_at_zero``); on P_m that is
+evaluation at 0.  The constant terms of ``taylor_decompose`` are the oracle."""
 
+from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -20,8 +22,11 @@ from lndcalc import (
     invert,
     standard_system,
     twisted_partials,
+    weyl,
 )
+from lndcalc.multiindex import multi_factorial
 from support import (
+    A10_P5Q4,
     MAP_A11,
     MAP_A20,
     NAGATA,
@@ -29,6 +34,7 @@ from support import (
     random_tame_poly,
     random_triangular_a11,
     random_weyl,
+    sheared_a10,
     verified_map,
 )
 
@@ -74,12 +80,20 @@ def _at_zero(system, a):
 
 def _evaluated_at_zero(system, a):
     """The P_m rule on any signature: entries and slices replaced by their
-    constant terms (correct only where evaluation at 0 is multiplicative)."""
-    def at0(b):
-        return b.like({(0,) * b.signature.s: b.constant_term()})
-    table = system._coefficients(a, [at0(t) for t in system.slices],
-                                 lambda gamma, b: at0(b))
-    return {alpha: c.constant_term() for alpha, c in table.items() if c.constant_term()}
+    constant terms (correct only where evaluation at 0 is multiplicative),
+    c_alpha = sum_(gamma >= alpha) (d^gamma a)(0) (-y)^(gamma-alpha)
+    / (alpha! (gamma-alpha)!) over the walk's table, with y = t(0)."""
+    y = [t.constant_term() for t in system.slices]
+    out = {}
+    for gamma, entry in system._table(system.s, a):
+        for beta in product(*(range(g + 1) for g in gamma)):
+            alpha = tuple(g - b for g, b in zip(gamma, beta))
+            term = Fraction(entry.constant_term(),
+                            multi_factorial(alpha) * multi_factorial(beta))
+            for yi, b in zip(y, beta):
+                term *= (-yi) ** b
+            out[alpha] = out.get(alpha, 0) + term
+    return {alpha: c for alpha, c in out.items() if c}
 
 
 def _verdict(call):
@@ -180,3 +194,31 @@ def test_stretch_walk_reaches_the_inverse_and_certification_trips_the_cap():
         assert got == expected.images[i]
     with pytest.raises(CapExceededError, match="degree 65"):
         stretch.apply(expected.images[0])
+
+
+def test_the_walk_forms_no_weyl_product_on_nagata(monkeypatch):
+    # on P_m every pairing row is a scalar t(0)^beta, so the walk multiplies
+    # no elements at all
+    system = _unchecked(verified_map(*NAGATA))
+    sig = WeylSignature(0, 3)
+    calls = []
+    mul = weyl.weyl_mul
+
+    def counted(a, b, degree_cap=None):
+        calls.append(1)
+        return mul(a, b, degree_cap)
+
+    monkeypatch.setattr(weyl, "weyl_mul", counted)
+    for i in range(sig.s):
+        system._taylor_at_zero(WeylElement.generator(sig, i))
+    assert calls == []
+
+
+def test_a10_p5q4_inverts_to_its_composed_inverse_at_a_raised_cap(monkeypatch):
+    # the pairing needs pi_L(t^beta) only, never a power of a whole slice;
+    # at the default cap a derive of the walk still exceeds it
+    aut, inverse = sheared_a10(A10_P5Q4)
+    with pytest.raises(CapExceededError, match="degree 67"):
+        invert(aut)
+    monkeypatch.setattr(weyl, "DEGREE_CAP", 400)
+    assert str(invert(aut)) == str(inverse)

@@ -4,7 +4,7 @@ dense Gauss-Jordan oracle in ``oracle_linalg``."""
 from fractions import Fraction
 from random import Random
 
-from lndcalc.linalg import nullspace, rank, rref
+from lndcalc.linalg import _reduce, nullspace, rank
 import oracle_linalg
 
 
@@ -16,22 +16,39 @@ def _mul_vec(rows, vec):
     return [sum(r[j] * vec[j] for j in range(len(vec))) for r in rows]
 
 
+def _dense(reduced, ncols):
+    """``_reduce``'s pivot rows as dense rows, in pivot order."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in reduced.values()]
+
+
+def _assert_rref_agrees(rows):
+    """``_reduce``'s pivots and pivot rows are the oracle's reduced row
+    echelon form, whose other rows are zero; no zero entry is stored."""
+    ncols = len(rows[0]) if rows else 0
+    reduced = _reduce(rows)
+    mat, pivots = oracle_linalg.rref(rows)
+    assert list(reduced) == pivots
+    assert _dense(reduced, ncols) == mat[:len(pivots)]
+    assert not any(any(row) for row in mat[len(pivots):])
+    assert all(all(row.values()) for row in reduced.values())
+
+
 def test_rref_known_example():
-    reduced, pivots = rref(_mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))
-    assert pivots == [0, 1]
-    assert reduced[0] == [1, 0, 1]
-    assert reduced[1] == [0, 1, 1]
-    assert reduced[2] == [0, 0, 0]
+    rows = _mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    reduced = _reduce(rows)
+    assert list(reduced) == [0, 1]
+    assert _dense(reduced, 3) == [[1, 0, 1], [0, 1, 1]]
+    _assert_rref_agrees(rows)
 
 
 def test_rref_is_idempotent():
     rng = Random(5)
     for _ in range(20):
         rows = _mat([[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)])
-        reduced, pivots = rref(rows)
-        again, pivots2 = rref(reduced)
+        reduced = _reduce(rows)
+        again = _reduce(_dense(reduced, 4))
         assert again == reduced
-        assert pivots2 == pivots
+        _assert_rref_agrees(rows)
 
 
 def test_rank_examples():
@@ -84,7 +101,7 @@ def _random_rows(rng, nrows, ncols, density, fractions):
 
 
 def _assert_agrees(rows, ncols):
-    assert rref(rows) == oracle_linalg.rref(rows)
+    _assert_rref_agrees(rows)
     assert rank(rows) == oracle_linalg.rank(rows)
     assert nullspace(rows, ncols) == oracle_linalg.nullspace(rows, ncols)
 

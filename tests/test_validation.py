@@ -112,21 +112,25 @@ def _walk_fed(system, walk):
     return [getattr(system, walk)(x) for x in system._one.generators()]
 
 
-def _records(system, walk):
-    """The table entries d^gamma(x) each generator's walk visits, one dict
-    {gamma: entry} per generator; ``walk`` picks the slices it reads."""
-    slices = system.slices
-    if walk == "_taylor_at_zero":
-        # the slices mod the centre, as that walk reads them
-        nn = 2 * system._one.signature.n
-        slices = [t.like({e: c for e, c in t.terms.items() if not any(e[nn:])})
-                  for t in slices]
-    walked = []
-    for x in system._one.generators():
-        record = {}
-        walked.append(record)
-        system._coefficients(x, slices, lambda gamma, b: record.setdefault(gamma, b))
-    return walked
+def _records(system):
+    """The table entries d^gamma(x) of each generator, one dict {gamma: entry}
+    per generator, off the table enumerator that both walks share."""
+    return [dict(system._table(system.s, x)) for x in system._one.generators()]
+
+
+def _derive_calls(monkeypatch, call):
+    """The (direction, argument) of every ``LndSystem.derive`` in ``call()``."""
+    calls = []
+    derive = LndSystem.derive
+
+    def counted(self, i, a):
+        calls.append((i, a))
+        return derive(self, i, a)
+
+    with monkeypatch.context() as m:
+        m.setattr(LndSystem, "derive", counted)
+        call()
+    return calls
 
 
 def _walks(system):
@@ -162,22 +166,26 @@ def test_walk_fed_nilpotence_follows_the_cap_like_the_probe():
 
 
 @pytest.mark.parametrize("spec", [NAGATA, MAP_A11, MAP_A20], ids=["nagata", "a11", "a20"])
-def test_walks_record_the_first_derivatives_and_one_side_of_each_commutation(spec):
-    # the entry at e_i is d_i(x), at e_i + e_k (i < k) it is d_i(d_k x)
+def test_walks_record_the_first_derivatives_and_one_side_of_each_commutation(
+        spec, monkeypatch):
+    # the entry at e_i is d_i(x), at e_i + e_k (i < k) it is d_i(d_k x); each
+    # walk derives exactly the entries of the enumerator, in its order
     system = _twisted(*spec)
     s = system.s
     zero = system._zero
     keys = [(i,) for i in range(s)] + [(i, k) for i in range(s) for k in range(i + 1, s)]
-    for walk in _walks(system):
-        for q, record in enumerate(_records(system, walk)):
-            x = system._one.generators()[q]
-            assert record[(0,) * s] == x
-            for key in keys:
-                gamma = tuple(int(h in key) for h in range(s))
-                expected = x
-                for i in reversed(key):
-                    expected = system.derive(i, expected)
-                assert record.get(gamma, zero) == expected, (walk, q, key)
+    for q, record in enumerate(_records(system)):
+        x = system._one.generators()[q]
+        assert record[(0,) * s] == x
+        for key in keys:
+            gamma = tuple(int(h in key) for h in range(s))
+            expected = x
+            for i in reversed(key):
+                expected = system.derive(i, expected)
+            assert record.get(gamma, zero) == expected, (q, key)
+        table = _derive_calls(monkeypatch, lambda: list(system._table(s, x)))
+        for walk in _walks(system):
+            assert _derive_calls(monkeypatch, lambda: getattr(system, walk)(x)) == table, walk
 
 
 def test_invert_walk_trips_the_cap_on_wrong_twisted_partials(monkeypatch):
