@@ -24,19 +24,17 @@ left coefficients read off one table of iterated derivatives d^gamma a:
     c_alpha = sum_beta (-1)^|beta| t_s^beta_s ... t_1^beta_1 d^(alpha+beta) a
               / (alpha! beta!)
 
-``taylor_decompose`` stages this table direction by direction (``_staged``),
+``_table`` walks this table once, depth first, direction s outermost and
+direction 1 innermost, each column b, d_j b, d_j^2 b, ... derived lazily
+under the cap rule, and yields its nonzero entries.  ``taylor_decompose``
+folds them one direction at a time,
 
     P_0[g] = d^g a,   P_j[g] = sum_k (-1)^k/k! t_j^k P_(j-1)[g + k e_j],
 
-so c_alpha = P_s[alpha] / alpha!, and every derivative in the table is
-formed once.  The table is walked depth first, direction s outermost and
-direction 1 innermost, and each column b, d_j b, d_j^2 b, ... is derived
-lazily: an entry's sub-table is staged before the next entry is derived,
-so the products of phi_1 form in the same order as in phi(a), and a cap
-error stops the walk before the rest of the table exists.  ``_table``
-yields the nonzero entries in this order, with the same derive calls and
-cap rule; ``order`` keeps the largest |gamma| of its entries, and the
-``z`` witnesses of ``invariants`` are the c_alpha.
+so c_alpha = P_s[alpha] / alpha!; every derivative in the table is formed
+once, and the first fold takes the entries as the walk yields them.
+``order`` keeps the largest |gamma| of the entries, and the ``z`` witnesses
+of ``invariants`` are the c_alpha.
 
 ``_taylor_at_zero``, the inversion of ``automorphisms.invert``, needs only
 eps(c_alpha) on A(n, m), eps the constant term of the normal form.  With x
@@ -94,12 +92,6 @@ class PartialDerivation:
     def __repr__(self) -> str:
         return f"PartialDerivation({self.index})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PartialDerivation) and self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash(("partial", self.index))
-
 
 class InnerDerivation:
     """ad(u): a -> u*a - a*u for a fixed carrier element u (one-pass
@@ -117,12 +109,6 @@ class InnerDerivation:
 
     def __repr__(self) -> str:
         return f"InnerDerivation({self.element!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InnerDerivation) and self.element == other.element
-
-    def __hash__(self) -> int:
-        return hash(("inner", self.element))
 
 
 class CombinationDerivation:
@@ -182,6 +168,22 @@ def _prepare_partials(parts):
         else:
             return None
     return next(iter(sigs), None), tuple(rows), top
+
+
+def _fold(j: int, t: Element, entries) -> dict:
+    """P_(j+1) from the entries (g, P_j[g]) of P_j: each adds
+    (-1)^k/k! t^k P_j[g] at g - k e_(j+1), k = 0..g_(j+1), with each
+    (-1)^k/k! t^k formed once (no product for k = 0, -t for k = 1)."""
+    terms = [None, -t]
+    out: dict = {}
+    for g, val in entries:
+        for k in range(g[j] + 1):
+            if k == len(terms):
+                terms.append(terms[-1] * t * Fraction(-1, k))
+            key = g[:j] + (g[j] - k,) + g[j + 1:]
+            piece = terms[k] * val if k else val
+            out[key] = piece if (prev := out.get(key)) is None else prev + piece
+    return out
 
 
 # -- the system --------------------------------------------------------------
@@ -301,7 +303,7 @@ class LndSystem:
         """Yield (gamma, d^gamma b) for the nonzero entries of the table of b
         in directions 1..j (``tail`` holds the indices spent above j): depth
         first, direction j outermost, each column derived lazily under the
-        cap rule, so the derive calls are those of ``_staged``."""
+        cap rule."""
         if j == 0:
             yield tail, b
             return
@@ -356,59 +358,14 @@ class LndSystem:
     # -- Taylor decomposition -------------------------------------------------
 
     def taylor_decompose(self, a: Element) -> TaylorCoefficients:
-        """The coefficient map alpha -> phi(d^alpha a / alpha!), zeros dropped,
-        read off one table of iterated derivatives (see the module docstring)."""
-        terms = [[t ** 0, -t] for t in self.slices]
-
-        def slice_term(i: int, k: int):
-            """(-1)^k/k! t_i^k, each formed once per call."""
-            tm = terms[i]
-            while len(tm) <= k:
-                tm.append((tm[-1] * self.slices[i]) * Fraction(-1, len(tm)))
-            return tm[k]
-
-        out = {}
-        for alpha, val in self._staged(self.s, a, 0, slice_term).items():
-            f = multi_factorial(alpha)
-            out[alpha] = val if f == 1 else val * Fraction(1, f)
-        return TaylorCoefficients(self.s, out)
-
-    def _staged(self, j: int, b: Element, grade: int, slice_term) -> dict:
-        """{(g_1..g_j): P_j[g_1..g_j]} over the table of b (module docstring).
-
-        Each column entry's sub-table is staged and folded into column index
-        0, as phi_j would, before the next entry is derived; the other
-        indices are folded once the column ends.  ``grade`` is the order
-        spent in directions above j, and ``slice_term(i, k)`` is
-        (-1)^k/k! t_(i+1)^k."""
-        if j == 0:
-            return {(): b}
-        i = j - 1
-        out: dict = {}
-        cols: list[dict | None] = []
-
-        def fold(l: int, start: int) -> None:
-            # P_j[g, start] += (-1)^k/k! t_j^k P_(j-1)[g, l] with k = l - start
-            k = l - start
-            term = slice_term(i, k)
-            for sub, val in cols[l].items():
-                if k:
-                    val = term * val
-                key = sub + (start,)
-                prev = out.get(key)
-                out[key] = val if prev is None else prev + val
-
-        cur = b
-        while not cur.is_zero():
-            self._check_depth(grade + len(cols))
-            cols.append(self._staged(i, cur, grade + len(cols), slice_term))
-            fold(len(cols) - 1, 0)
-            cur = self.derive(i, cur)
-        for l in range(1, len(cols)):
-            for start in range(1, l + 1):
-                fold(l, start)
-            cols[l] = None
-        return out
+        """The coefficient map alpha -> phi(d^alpha a / alpha!), zeros dropped:
+        the entries of ``_table`` folded once per direction (module docstring)."""
+        entries = self._table(self.s, a)
+        for j, t in enumerate(self.slices):
+            entries = _fold(j, t, entries).items()
+        return TaylorCoefficients(self.s, {
+            alpha: val if (f := multi_factorial(alpha)) == 1 else val * Fraction(1, f)
+            for alpha, val in entries})
 
     def _taylor_at_zero(self, a: Element) -> dict[MultiIndex, Scalar]:
         """{alpha: eps(c_alpha)} for ``taylor_decompose(a)`` on A(n, m), eps

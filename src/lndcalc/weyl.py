@@ -18,8 +18,8 @@ pair, so a pair that cannot swap (the common case) costs one lookup.
 The bracket ad(u)(a) = u*a - a*u is formed in one pass: for each pair of
 monomials the zero-swap term of u*a and of a*u is the same key with the same
 coefficient and cancels, so only the terms with at least one swap are
-emitted (the rows of both orders merged, also cached), and neither product
-is built.  On P_m (n = 0) every bracket is 0.
+emitted (the swap rows of u*a added and those of a*u subtracted in one
+dict), and neither product is built.  On P_m (n = 0) every bracket is 0.
 
 The degree cap applies to the normal form.  No term of a product (or
 bracket) exceeds maxdeg(a) + maxdeg(b), so the result is scanned only when
@@ -129,41 +129,32 @@ def _swap_rows(p: MultiIndex, q: MultiIndex, s: int) -> tuple[tuple[MultiIndex, 
     return tuple(rows)
 
 
-@functools.lru_cache(maxsize=4096)
-def _bracket_rows(pu: MultiIndex, qa: MultiIndex, pa: MultiIndex, qu: MultiIndex, s: int):
-    """Rows of ad(x^eu)(x^ea): the rows of x^eu * x^ea minus those of x^ea * x^eu."""
-    merged = dict(_swap_rows(pu, qa, s))
-    for drop, factor in _swap_rows(pa, qu, s):
-        merged[drop] = merged.get(drop, 0) - factor
-    return tuple((drop, factor) for drop, factor in merged.items() if factor)
-
-
-def _capped(sig: WeylSignature, out: dict, cap: int, bound: int) -> WeylElement:
-    """Canonical result; the cap scan runs if ``bound`` (>= any degree) exceeds it."""
+def _capped(sig: WeylSignature, out: dict, bound: int) -> WeylElement:
+    """Canonical result; the cap scan runs if ``bound`` (>= any degree) exceeds
+    DEGREE_CAP."""
     out = {e: canonical(c) for e, c in out.items() if c}
-    if bound > cap:
+    if bound > DEGREE_CAP:
         for exps in out:
-            if sum(exps) > cap:
+            if sum(exps) > DEGREE_CAP:
                 raise CapExceededError(
-                    f"degree cap {cap} exceeded by a normal form of degree {sum(exps)}"
+                    f"degree cap {DEGREE_CAP} exceeded by a normal form of degree {sum(exps)}"
                 )
     return WeylElement._trusted(sig, out)
 
 
-def weyl_mul(a: WeylElement, b: WeylElement, degree_cap: int | None = None) -> WeylElement:
+def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Normal-ordered product.
 
     Raises CapExceededError when the normal form contains a term of total
-    degree above the cap (default DEGREE_CAP).
+    degree above DEGREE_CAP.
     """
     a._check_compatible(b)
     sig = a.signature
     if not a.terms or not b.terms:
         return WeylElement._trusted(sig, {})
-    cap = DEGREE_CAP if degree_cap is None else degree_cap
     bound = max(map(sum, a.terms)) + max(map(sum, b.terms))
     for x, y in ((a, b), (b, a)):
-        if bound <= cap and len(x.terms) == 1 and not any(e := next(iter(x.terms))):
+        if bound <= DEGREE_CAP and len(x.terms) == 1 and not any(e := next(iter(x.terms))):
             return y.scale(x.terms[e])  # a constant operand
     n, s = sig.n, sig.s
     out: dict[MultiIndex, Scalar] = {}
@@ -180,7 +171,7 @@ def weyl_mul(a: WeylElement, b: WeylElement, degree_cap: int | None = None) -> W
                     k = tuple(map(sub, key, drop))
                     c = out.get(k)
                     out[k] = base * factor if c is None else c + base * factor
-    return _capped(sig, out, cap, bound)
+    return _capped(sig, out, bound)
 
 
 def ad(u: WeylElement, a: WeylElement) -> WeylElement:
@@ -199,16 +190,17 @@ def ad(u: WeylElement, a: WeylElement) -> WeylElement:
     for eu, cu in u.terms.items():
         pu, qu = eu[n:2 * n], eu[:n]
         for ea, ca, qa, pa in right:
-            rows = _bracket_rows(pu, qa, pa, qu, s)
-            if not rows:
+            ua, au = _swap_rows(pu, qa, s), _swap_rows(pa, qu, s)
+            if not (ua or au):
                 continue
             base = cu * ca
             key = tuple(map(add, eu, ea))
-            for drop, factor in rows:
-                k = tuple(map(sub, key, drop))
-                c = out.get(k)
-                out[k] = base * factor if c is None else c + base * factor
-    return _capped(sig, out, DEGREE_CAP, max(map(sum, u.terms)) + max(map(sum, a.terms)))
+            for rows, coeff in ((ua, base), (au, -base)):
+                for drop, factor in rows:
+                    k = tuple(map(sub, key, drop))
+                    c = out.get(k)
+                    out[k] = coeff * factor if c is None else c + coeff * factor
+    return _capped(sig, out, max(map(sum, u.terms)) + max(map(sum, a.terms)))
 
 
 def combine_partials(a, sig, rows, top: int) -> WeylElement | None:
@@ -231,4 +223,4 @@ def combine_partials(a, sig, rows, top: int) -> WeylElement | None:
                     key = base if ec is None else tuple(map(add, base, ec))
                     c = out.get(key)
                     out[key] = v * cc if c is None else c + v * cc
-    return _capped(a.signature, out, DEGREE_CAP, 0)
+    return _capped(a.signature, out, 0)

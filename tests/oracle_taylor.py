@@ -3,7 +3,7 @@
 ``LndSystem.taylor_decompose`` used to walk the table of iterated
 derivatives ``d^alpha a`` layer by layer and call ``phi`` once per entry,
 so phi re-derived, in every later direction, values the table already held.
-It now stages the projections over that one table.  ``taylor_decompose``
+It now folds that one table direction by direction.  ``taylor_decompose``
 below is the old loop, built on the public ``phi`` and the breadth-first
 layer walk ``layers`` that ``order`` used, so the tests can compare
 coefficient maps.

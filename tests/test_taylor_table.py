@@ -20,6 +20,7 @@ from lndcalc import (
     twisted_partials,
     twisted_system,
 )
+from lndcalc import weyl
 from oracle_taylor import layers
 from oracle_taylor import taylor_decompose as oracle_taylor
 from support import (
@@ -128,7 +129,7 @@ def test_each_table_entry_is_derived_once_and_phi_is_not_called(name, monkeypatc
         calls.clear()
         system.taylor_decompose(a)
         # the layer walk derives every table entry once in each direction
-        # up to its first nonzero one; the staged table does the same
+        # up to its first nonzero one; the table walk does the same
         assert len(calls) == walk
 
 
@@ -173,6 +174,46 @@ def test_phi_psi_order_and_the_table_share_one_cap_rule_on_each_direction(name):
                     assert _verdict(lambda: walk(a)) == expected, (name, i, cap, walk)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_table_walk_yields_the_layer_walk_entries(name):
+    system, elements = _elements(name)
+    for a in elements:
+        expected = {}
+        for _, layer in layers(system, a):
+            expected.update(layer)
+        assert dict(system._table(system.s, a)) == expected, (name, str(a))
+
+
+def _weyl_products(monkeypatch, system, elements):
+    calls = []
+    mul = weyl.weyl_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(weyl, "weyl_mul", counted)
+    for a in elements:
+        system.taylor_decompose(a)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_taylor_decompose_folds_the_table_with_a_pinned_product_count(monkeypatch):
+    # one fold per direction multiplies each entry by (-1)^k/k! t_j^k for
+    # k = 1..g_j, each slice term formed once; the direct sum over beta of
+    # w_beta d^(alpha+beta) a forms about twice the products
+    for spec, count in ((NAGATA, 108), (MAP_A11, 75), (MAP_A20, 23)):
+        system = twisted_unchecked(*spec)
+        sig = WeylSignature(spec[0], spec[1])
+        gens = [WeylElement.generator(sig, i) for i in range(sig.s)]
+        assert _weyl_products(monkeypatch, system, gens) == count, spec
+    x1, x2, x3 = (WeylElement.generator(A11, i) for i in range(3))
+    a = (x1 + x2 * 2 - x3 + WeylElement.one(A11)) ** 5
+    system = standard_system(WeylElement.one(A11))
+    assert _weyl_products(monkeypatch, system, [a]) == 222
+
+
 def test_zero_has_no_coefficients():
     system = standard_system(CommPoly.one(2))
     assert len(system.taylor_decompose(CommPoly.zero(2))) == 0
@@ -181,14 +222,15 @@ def test_zero_has_no_coefficients():
 def test_stretch_inversion_still_exceeds_the_degree_cap():
     # Nagata composed with a triangular map: degree 10, 37 terms; the
     # inverse has degree 14.  The Taylor decomposition of x1 over its
-    # twisted system trips DEGREE_CAP on the product where the phi loop
-    # tripped.  (invert on P_m reads constant terms instead and gets as far
-    # as certification, see tests/test_invert_at_zero.py.)
+    # twisted system trips DEGREE_CAP in the direction-1 fold, on a slice
+    # power times a table entry formed as the walk yields it.  (invert on
+    # P_m reads constant terms instead and gets as far as certification,
+    # see tests/test_invert_at_zero.py.)
     inner = verified_map(0, 3, "x1 -> x1; x2 -> x2 + x1^2; x3 -> x3 + x2^2 - x1")
     stretch = aut_compose(verified_map(*NAGATA), inner)
     system = LndSystem(twisted_partials(stretch), list(stretch.images), check=False)
     x1 = WeylElement.generator(stretch.signature, 0)
-    with pytest.raises(CapExceededError, match="degree 66"):
+    with pytest.raises(CapExceededError, match="degree 65"):
         system.taylor_decompose(x1)
 
 

@@ -170,12 +170,13 @@ def test_central_variables_are_central():
     assert parse_element("x3^2 + 1/2", WeylCarrier(A11)).is_central()
 
 
-def test_degree_cap():
+def test_degree_cap(monkeypatch):
     big = WeylElement.monomial(A10, (33, 0))
     with pytest.raises(CapExceededError):
         weyl_mul(big, big)
-    # explicit higher cap lets the product through
-    assert weyl_mul(big, big, degree_cap=128) == WeylElement.monomial(A10, (66, 0))
+    # a higher cap lets the product through
+    monkeypatch.setattr(weyl, "DEGREE_CAP", 128)
+    assert weyl_mul(big, big) == WeylElement.monomial(A10, (66, 0))
 
 
 def test_signature_mismatch():
@@ -329,10 +330,13 @@ def test_degree_cap_at_and_one_below_the_result_degree(monkeypatch):
             if a.is_zero() or b.is_zero():
                 continue
             d = a.total_degree() + b.total_degree()
-            got = weyl_mul(a, b, degree_cap=d)
+            monkeypatch.setattr(weyl, "DEGREE_CAP", d)
+            got = weyl_mul(a, b)
             assert got == oracle_mul(a, b) and got.total_degree() == d
+            monkeypatch.setattr(weyl, "DEGREE_CAP", d - 1)
             with pytest.raises(CapExceededError, match=f"degree {d}"):
-                weyl_mul(a, b, degree_cap=d - 1)
+                weyl_mul(a, b)
+            monkeypatch.undo()
             bracket = weyl.ad(a, b)
             if bracket.is_zero():
                 continue
