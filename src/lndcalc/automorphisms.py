@@ -36,8 +36,10 @@ partial, a non-constant coefficient or an input that is no automorphism
 gives a candidate that one of these checks rejects.
 
 ``log_aut`` and ``exp_der`` convert between unipotent automorphisms and
-locally nilpotent derivations; ``aut_to_series`` / ``map_to_series`` express
-polynomial automorphisms (and arbitrary tabulated linear maps) as
+locally nilpotent derivations.  A ``Derivation``, given by its generator
+values, runs as the descriptor ad(u) + sum_l v_{2n+l} d_{2n+l} with u in
+closed form (class docstring).  ``aut_to_series`` / ``map_to_series``
+express polynomial automorphisms (and arbitrary tabulated linear maps) as
 differential operator series  sum_alpha a_alpha d^alpha.
 """
 
@@ -289,13 +291,22 @@ def invert(aut: Automorphism) -> Automorphism:
 
 
 class Derivation:
-    """A derivation of A(n, m) given by its values on the generators and
-    extended by the Leibniz rule.  Construction checks compatibility with the
-    defining relations: [v_a, x_b] + [x_a, v_b] = 0 for all generator pairs."""
+    """A derivation of A(n, m) given by its values v_1..v_s on the generators.
+    Construction checks compatibility with the defining relations:
+    [v_a, x_b] + [x_a, v_b] = 0 for all generator pairs.
 
-    __slots__ = ("signature", "values")
+    Compatible values make it the descriptor ad(u) + sum_l v_{2n+l} d_{2n+l}
+    that ``apply`` runs.  Compatibility on (x_a, x_{2n+l}) makes v_{2n+l}
+    central.  On normal monomials d_i = ad(x_{n+i}) and d_{n+i} = -ad(x_i),
+    so ad(u) has the values v_1..v_2n iff d_i u = -v_{n+i} and d_{n+i} u = v_i;
+    compatibility on the Weyl pairs makes this 1-form closed, and u is its
+    Euler integral in the 2n Weyl generators, the centre a parameter (the
+    derivations of A_n are inner; Dixmier, Bull. SMF 96, 1968).  On P_m,
+    u = 0 and the descriptor is the fused partial combination."""
 
-    def __init__(self, signature: WeylSignature, values: list[WeylElement], check: bool = True):
+    __slots__ = ("signature", "values", "descriptor")
+
+    def __init__(self, signature: WeylSignature, values: list[WeylElement]):
         if len(values) != signature.s:
             raise SignatureMismatchError(
                 f"{len(values)} values for signature {signature}"
@@ -305,8 +316,12 @@ class Derivation:
                 raise SignatureMismatchError("value signature does not match")
         self.signature = signature
         self.values = tuple(values)
-        if check:
-            self._validate()
+        self._validate()
+        n = signature.n
+        central = CombinationDerivation([(v, PartialDerivation(l)) for l, v in
+                                         enumerate(values) if l >= 2 * n and not v.is_zero()])
+        self.descriptor = central if not n else CombinationDerivation(
+            [(1, InnerDerivation(self._potential())), (1, central)])
 
     def _validate(self) -> None:
         sig = self.signature
@@ -319,63 +334,28 @@ class Derivation:
                         f"values are not relation-compatible on (x{a + 1}, x{b + 1})"
                     )
 
+    def _potential(self) -> WeylElement:
+        """u = sum_k sum_{c y^e in f_k} c y^(e + e_k) / (|e|_y + 1) for the
+        closed 1-form f = (-v_{n+1}, .., -v_{2n}, v_1, .., v_n), y the 2n Weyl
+        generators."""
+        n, v = self.signature.n, self.values
+        terms: dict[MultiIndex, Fraction] = {}
+        for k, f in enumerate([-w for w in v[n:2 * n]] + list(v[:n])):
+            for e, c in f.terms.items():
+                key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                terms[key] = terms.get(key, 0) + Fraction(c, sum(e[:2 * n]) + 1)
+        return WeylElement(self.signature, terms)
+
     def scale(self, factor: Fraction | int) -> Derivation:
-        return Derivation(
-            self.signature, [v * Fraction(factor) for v in self.values], check=False
-        )
+        return Derivation(self.signature, [v * Fraction(factor) for v in self.values])
 
     def __neg__(self) -> Derivation:
         return self.scale(-1)
 
     def apply(self, a: WeylElement) -> WeylElement:
-        """Leibniz extension to the whole algebra."""
         if a.signature != self.signature:
             raise SignatureMismatchError("element signature does not match")
-        sig = self.signature
-        gen_power: dict[tuple[int, int], WeylElement] = {}
-        der_power: dict[tuple[int, int], WeylElement] = {}
-
-        def xpow(i: int, e: int) -> WeylElement:
-            key = (i, e)
-            if key not in gen_power:
-                exps = tuple(e if j == i else 0 for j in range(sig.s))
-                gen_power[key] = WeylElement.monomial(sig, exps)
-            return gen_power[key]
-
-        def dxpow(i: int, e: int) -> WeylElement:
-            # d(x_i^e) = sum_j x_i^j v_i x_i^(e-1-j)
-            key = (i, e)
-            if key not in der_power:
-                total = WeylElement.zero(sig)
-                for j in range(e):
-                    piece = self.values[i]
-                    if j:
-                        piece = weyl_mul(xpow(i, j), piece)
-                    if e - 1 - j:
-                        piece = weyl_mul(piece, xpow(i, e - 1 - j))
-                    total = total + piece
-                der_power[key] = total
-            return der_power[key]
-
-        out = WeylElement.zero(sig)
-        for exps, c in a.terms.items():
-            value = WeylElement.one(sig)
-            deriv = WeylElement.zero(sig)
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                f = xpow(i, e)
-                deriv = weyl_mul(deriv, f) + weyl_mul(value, dxpow(i, e))
-                value = weyl_mul(value, f)
-            out = out + deriv * c
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Derivation)
-            and self.signature == other.signature
-            and self.values == other.values
-        )
+        return self.descriptor.apply(a)
 
     def __str__(self) -> str:
         return _arrow_text(self.values)

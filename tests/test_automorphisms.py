@@ -412,14 +412,34 @@ def test_derivation_validation_and_scaling():
     Derivation(A10, [WeylElement.zero(A10), x1_64])
 
 
+def test_derivation_cap_verdicts():
+    # d(x2) = x1^64 is within the cap; d(x1*x2) and d(x2^2) have degree 65
+    x1_64 = WeylElement.monomial(A10, (64, 0))
+    d = Derivation(A10, [WeylElement.zero(A10), x1_64])
+    x1, x2 = _gens(A10)
+    assert d.apply(x1).is_zero()
+    assert d.apply(x2) == x1_64
+    for a in (x1 * x2, x2 * x2):
+        with pytest.raises(CapExceededError, match="degree 65"):
+            d.apply(a)
+
+
 def test_derivation_apply_is_a_derivation():
-    d = Derivation(P2, [parse_element("1", WeylCarrier(P2)),
-                        parse_element("x1 - 1/2", WeylCarrier(P2))])
+    # on A(1,1) the values ad(x1^2*x3 + x1*x2^2)(x_k) + x3^2 d_3(x_k)
+    # reach both the inner part and the central partial
+    carrier = WeylCarrier(A11)
+    derivations = [
+        Derivation(P2, [parse_element("1", WeylCarrier(P2)),
+                        parse_element("x1 - 1/2", WeylCarrier(P2))]),
+        Derivation(A11, [parse_element(v, carrier)
+                         for v in ("2*x1*x2", "-2*x1*x3 - x2^2", "x3^2")]),
+    ]
     rng = Random(506)
-    for _ in range(10):
-        a = random_weyl(rng, P2, 3, 3)
-        b = random_weyl(rng, P2, 3, 3)
-        assert d.apply(a * b) == d.apply(a) * b + a * d.apply(b)
+    for d in derivations:
+        for _ in range(10):
+            a = random_weyl(rng, d.signature, 3, 3)
+            b = random_weyl(rng, d.signature, 3, 3)
+            assert d.apply(a * b) == d.apply(a) * b + a * d.apply(b)
 
 
 # -- operator series --------------------------------------------------------------

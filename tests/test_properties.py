@@ -1,7 +1,7 @@
 """Property tests on generated tame automorphisms of P_m and of A(n, m),
-and print-then-parse on generated elements of all three carriers
-(needs hypothesis; skipped without it).  Examples are derandomized and few, so the run is fixed
-and short."""
+on generated derivations of A(n, m), and print-then-parse on generated
+elements of all three carriers (needs hypothesis; skipped without it).
+Examples are derandomized and few, so the run is fixed and short."""
 
 import contextlib
 import io
@@ -16,6 +16,7 @@ from lndcalc import (  # noqa: E402
     Automorphism,
     CommCarrier,
     CommPoly,
+    Derivation,
     FreeCarrier,
     JacobianError,
     LndSystem,
@@ -24,12 +25,15 @@ from lndcalc import (  # noqa: E402
     WeylSignature,
     aut_compose,
     aut_verify,
+    exp_der,
     invert,
+    log_aut,
     parse_element,
     twisted_partials,
     twisted_system,
 )
 from lndcalc.cli import main  # noqa: E402
+from oracle_derivation import leibniz_apply  # noqa: E402
 from oracle_validate import validate as oracle_validate  # noqa: E402
 from support import tame_poly_map  # noqa: E402
 
@@ -98,12 +102,15 @@ def _shear(sig, kind, f):
 
 
 @st.composite
-def weyl_tame_maps(draw, sig):
+def weyl_tame_maps(draw, sig, one_kind=False):
     """(map, inverse factors innermost first): one or two shears on ``sig``,
     each f up to two monomials of degree 2..3, and with a centre maybe a
-    central shift among them (so the images stay of degree <= 4)."""
+    central shift among them (so the images stay of degree <= 4).  With
+    ``one_kind`` the shears are all "p" or all "q", so the map is unipotent."""
     n, centre = sig.n, list(range(2 * sig.n, sig.s))
     kinds = draw(st.lists(st.sampled_from("pq"), min_size=1, max_size=2))
+    if one_kind:
+        kinds = kinds[:1] * len(kinds)
     if centre and draw(st.booleans()):
         kinds.insert(draw(st.integers(0, len(kinds))), "z")
     pairs = []
@@ -148,6 +155,53 @@ def test_invert_on_weyl_shears_is_the_composed_factor_inverse(sig, data):
         expected = {alpha: c.constant_term() for alpha, c in table.items()}
         assert system._taylor_at_zero(x) == expected
         assert WeylElement(sig, expected) == got.images[i]
+
+
+@pytest.mark.parametrize("sig", WEYL_SIGNATURES[:2], ids=str)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_exp_log_round_trip_on_unipotent_weyl_shears(sig, data):
+    aut, _ = data.draw(weyl_tame_maps(sig, one_kind=True))
+    delta = log_aut(aut)
+    assert exp_der(delta) == aut
+    assert log_aut(exp_der(delta)).values == delta.values
+
+
+# -- Derivation.apply against the Leibniz oracle -------------------------------
+
+DERIVATION_SIGNATURES = [WeylSignature(1, 0), WeylSignature(1, 1), WeylSignature(2, 0),
+                         WeylSignature(0, 2), WeylSignature(1, 2)]
+
+
+@st.composite
+def weyl_elements(draw, sig, indices, terms, degree):
+    """Up to ``terms`` monomials in the generators ``indices``, each of degree
+    <= ``degree``, with a constant."""
+    f = WeylElement.constant(sig, draw(st.integers(-2, 2)))
+    for _ in range(draw(st.integers(0, terms)) if indices else 0):
+        exps = [0] * sig.s
+        for k in draw(st.lists(st.sampled_from(indices), max_size=degree)):
+            exps[k] += 1
+        f = f + WeylElement.monomial(sig, tuple(exps), draw(COEFFS))
+    return f
+
+
+@pytest.mark.parametrize("sig", DERIVATION_SIGNATURES, ids=str)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_derivation_apply_is_the_leibniz_extension(sig, data):
+    """Values ad(w)(x_k) + c_(k-2n), c_l central, are relation-compatible; the
+    descriptor that ``apply`` runs must agree with Leibniz on drawn elements."""
+    gens = [WeylElement.generator(sig, i) for i in range(sig.s)]
+    centre = list(range(2 * sig.n, sig.s))
+    w = data.draw(weyl_elements(sig, list(range(sig.s)), 3, 3))
+    values = [w * x - x * w for x in gens[:2 * sig.n]]
+    values += [data.draw(weyl_elements(sig, centre, 2, 2)) for _ in centre]
+    d = Derivation(sig, values)
+    assert [d.apply(x) for x in gens] == values
+    for _ in range(3):
+        a = data.draw(weyl_elements(sig, list(range(sig.s)), 3, 3))
+        assert d.apply(a) == leibniz_apply(values, a)
 
 
 # -- A(n, m), m >= 1: the central Jacobian against sympy ------------------------
