@@ -1,13 +1,13 @@
 """Automorphisms of A(n, m), their inverses, logarithms and series forms.
 
-An automorphism is stored by its generator images.  Verification checks the
-defining relations ([s(x_{n+i}), s(x_j)] = delta_ij, all other generator
-pairs commuting), centrality of the central images, and that the Jacobian
-determinant Delta of the central images in the central generators
-x_{2n+1}..x_s is a nonzero constant; Delta is an element of A(n, m), formed
-by ``sparse.det`` under the degree cap like every other product.
-Injectivity or surjectivity is never assumed: ``invert`` runs the inversion
-formula
+An ``Automorphism`` is stored by its generator images and checked when it is
+built, so none exists unchecked: the defining relations ([s(x_{n+i}), s(x_j)]
+= delta_ij, all other generator pairs commuting), centrality of the central
+images, and that the Jacobian determinant Delta of the central images in the
+central generators x_{2n+1}..x_s is a nonzero constant, which it records;
+Delta is an element of A(n, m), formed by ``sparse.det`` under the degree cap
+like every other product.  Injectivity or surjectivity is never assumed:
+``invert`` runs the inversion formula
 
     s^{-1}(a) = sum_alpha x^alpha phi'(d'^alpha a / alpha!)
 
@@ -29,11 +29,12 @@ at 0; with y = s(x)(0):
 
 ``invert`` checks, in order: the walk of each generator's table (its cap
 rule is the nilpotence check), ``aut_verify`` of the candidate t, and
-s(t(x_i)) = x_i for every i.  With s verified and t an endomorphism, s is
-then surjective, hence injective (A(n, m) is Noetherian), so t = s^{-1}
-however t was built; the twisted system is never validated: a wrong twisted
-partial, a non-constant coefficient or an input that is no automorphism
-gives a candidate that one of these checks rejects.
+s(t(x_i)) = x_i for every i.  With s and t endomorphisms (both checked when
+built), s is then surjective, hence injective (A(n, m) is Noetherian), so
+t = s^{-1} however t was built; the twisted system is never validated: a
+wrong twisted partial, a non-constant coefficient or an input that passes the
+checks yet is no automorphism gives a candidate that one of these checks
+rejects.
 
 ``log_aut`` and ``exp_der`` convert between unipotent automorphisms and
 locally nilpotent derivations.  A ``Derivation``, given by its generator
@@ -75,18 +76,13 @@ def _arrow_text(images) -> str:
 
 
 class Automorphism:
-    """Generator images of an endomorphism of A(n, m); ``verified`` records
-    that the defining relations and the Jacobian condition were checked."""
+    """An automorphism of A(n, m), stored by its generator images.  Building
+    one checks the defining relations, centrality of the central images and
+    the Jacobian condition, and records Delta as ``delta``."""
 
-    __slots__ = ("signature", "images", "verified", "delta")
+    __slots__ = ("signature", "images", "delta")
 
-    def __init__(
-        self,
-        signature: WeylSignature,
-        images: list[WeylElement],
-        verified: bool = False,
-        delta: Fraction = Fraction(1),
-    ):
+    def __init__(self, signature: WeylSignature, images: list[WeylElement]):
         if len(images) != signature.s:
             raise SignatureMismatchError(
                 f"{len(images)} images for signature {signature}"
@@ -96,20 +92,17 @@ class Automorphism:
                 raise SignatureMismatchError("image signature does not match")
         self.signature = signature
         self.images = tuple(images)
-        self.verified = verified
-        self.delta = delta
+        self.delta = _checked_delta(signature, self.images)
 
     @classmethod
     def identity(cls, signature: WeylSignature) -> Automorphism:
         images = [WeylElement.generator(signature, i) for i in range(signature.s)]
-        return cls(signature, images, verified=True)
+        return cls(signature, images)
 
     def apply(self, a: WeylElement) -> WeylElement:
         """Image of an element: substitute generator images monomial-wise
         (``sparse.substitute``: one product per distinct exponent prefix,
         at most s prefix images kept at a time)."""
-        if not self.verified:
-            raise UsageError("refusing to apply an unverified automorphism")
         if a.signature != self.signature:
             raise SignatureMismatchError("element signature does not match")
         return substitute(a, self.images)
@@ -131,19 +124,14 @@ class Automorphism:
         return f"Automorphism({self.signature}, {str(self)!r})"
 
 
-def aut_verify(signature: WeylSignature, images: list[WeylElement]) -> Automorphism:
-    """Check the relations and the Jacobian condition; return the verified
-    automorphism (with Delta recorded)."""
-    cand = Automorphism(signature, images)
+def _checked_delta(signature: WeylSignature, imgs: tuple[WeylElement, ...]) -> Fraction:
+    """Check the relations, centrality and the Jacobian condition of the
+    images; return the constant Delta."""
     n, m = signature.n, signature.m
-    one = WeylElement.one(signature)
-    zero = WeylElement.zero(signature)
-    imgs = cand.images
+    one, zero = WeylElement.one(signature), WeylElement.zero(signature)
     for i in range(n):
         for j in range(n):
-            got = ad(imgs[n + i], imgs[j])
-            expect = one if i == j else zero
-            if got != expect:
+            if ad(imgs[n + i], imgs[j]) != (one if i == j else zero):
                 raise RelationError(
                     f"[s(x{n + i + 1}),s(x{j + 1})] != {1 if i == j else 0}"
                 )
@@ -156,17 +144,21 @@ def aut_verify(signature: WeylSignature, images: list[WeylElement]) -> Automorph
     for j in range(m):
         if not imgs[2 * n + j].is_central():
             raise RelationError(f"s(x{2 * n + j + 1}) not central")
-    delta = Fraction(1)
-    if m > 0:
-        jac = det(_central_jacobian(imgs, n, m))
-        if jac.is_zero() or not jac.is_constant():
-            raise JacobianError(f"Delta = {jac} is not a nonzero constant")
-        delta = jac.constant_term()
-    return Automorphism(signature, list(imgs), verified=True, delta=delta)
+    if not m:
+        return Fraction(1)
+    jac = det(_central_jacobian(imgs, n, m))
+    if jac.is_zero() or not jac.is_constant():
+        raise JacobianError(f"Delta = {jac} is not a nonzero constant")
+    return jac.constant_term()
+
+
+def aut_verify(signature: WeylSignature, images: list[WeylElement]) -> Automorphism:
+    """The automorphism with these images; building it runs every check."""
+    return Automorphism(signature, images)
 
 
 def aut_compose(outer: Automorphism, inner: Automorphism) -> Automorphism:
-    """(outer o inner)(x_i) = outer(inner(x_i)); the result is re-verified."""
+    """(outer o inner)(x_i) = outer(inner(x_i)); the result is checked anew."""
     if outer.signature != inner.signature:
         raise SignatureMismatchError("automorphism signatures do not match")
     images = [outer.apply(img) for img in inner.images]
@@ -227,8 +219,6 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
     central variables, e.g. s(x1) = x1 + x3^2 in A(1,1)); the unique inner
     correction ad(u_j) restoring d'_{2n+j}(s(x_k)) = 0 is integrated from
     the ad-direction system, which never requires knowing s^{-1}."""
-    if not aut.verified:
-        raise UsageError("twisted partials need a verified automorphism")
     n, m = aut.signature.n, aut.signature.m
     out: list[DerivationDescriptor] = []
     for i in range(n):
@@ -271,7 +261,7 @@ def invert(aut: Automorphism) -> Automorphism:
     """Inversion formula: s^{-1}(x_i) = sum_alpha x^alpha phi'(d'^alpha x_i / alpha!).
 
     Each coefficient is read as its constant term, off one pairing walk per
-    generator; the candidate t is verified and certified by s(t(x_i)) = x_i
+    generator; the candidate t is checked and certified by s(t(x_i)) = x_i
     alone, which suffices as A(n, m) is Noetherian (module docstring).
     """
     sig = aut.signature
@@ -367,8 +357,6 @@ class Derivation:
 def log_aut(aut: Automorphism) -> Derivation:
     """log of a unipotent automorphism:
     d(x_i) = sum_{k>=1} (-1)^(k+1) (s - id)^k (x_i) / k."""
-    if not aut.verified:
-        raise UsageError("log needs a verified automorphism")
     sig = aut.signature
     values = []
     for i in range(sig.s):
@@ -444,8 +432,6 @@ def aut_to_series(aut: Automorphism, max_order: int) -> DiffOpSeries:
     sig = aut.signature
     if sig.n != 0:
         raise UsageError("series form needs a polynomial signature (n = 0)")
-    if not aut.verified:
-        raise UsageError("series form needs a verified automorphism")
     diffs = [
         aut.images[i] - WeylElement.generator(sig, i) for i in range(sig.s)
     ]

@@ -79,6 +79,8 @@ def _carrier_from(args) -> CommCarrier | WeylCarrier | FreeCarrier:
     free = args.free is not None
     if sum((weyl, poly, free)) != 1:
         raise UsageError("select exactly one carrier: --n/--m, --poly, or --free")
+    if args.laurent and not poly:
+        raise UsageError("--laurent needs the --poly carrier")
     if free:
         if args.free < 1:
             raise UsageError("--free needs at least one generator")
@@ -119,40 +121,28 @@ def _parse_index_list(text: str, length: int) -> tuple[int, ...]:
     return alpha
 
 
-def _read_table_lines(stream, sig: WeylSignature):
-    """Lines "a1,..,as : expr" -> {alpha: element}."""
+def _read_indexed_lines(stream, sig: WeylSignature, series: bool) -> dict:
+    """Table lines "a1,..,as : expr", or series lines "d^(a1,..,as): expr" as
+    DiffOpSeries prints them (its empty form "0" skipped) -> {alpha: element};
+    a multi-index given twice is refused."""
     carrier = WeylCarrier(sig)
-    table = {}
+    opening, closing = (DiffOpSeries.head + "(", ")") if series else ("", "")
+    out = {}
     for raw in stream.read().splitlines():
         line = raw.strip()
-        if not line:
-            continue
-        left, sep, right = line.partition(":")
-        if not sep:
-            raise UsageError(f"table line {line!r} is missing ':'")
-        alpha = _parse_index_list(left.strip(), sig.s)
-        table[alpha] = parse_element(right.strip(), carrier)
-    return table
-
-
-def _read_series_lines(stream, sig: WeylSignature) -> DiffOpSeries:
-    """Lines "d^(a1,..,as): expr", as DiffOpSeries prints them, -> DiffOpSeries
-    (order = largest |alpha|)."""
-    carrier = WeylCarrier(sig)
-    opening = DiffOpSeries.head + "("
-    coeffs = {}
-    for raw in stream.read().splitlines():
-        line = raw.strip()
-        if not line or line == DiffOpSeries.empty:
+        if not line or (series and line == DiffOpSeries.empty):
             continue
         left, sep, right = line.partition(":")
         left = left.strip()
-        if not sep or not (left.startswith(opening) and left.endswith(")")):
-            raise UsageError(f"series line {line!r}; expected \"{opening}a1,..): expr\"")
-        alpha = _parse_index_list(left[len(opening):-1], sig.s)
-        coeffs[alpha] = parse_element(right.strip(), carrier)
-    order = max((sum(a) for a in coeffs), default=0)
-    return DiffOpSeries(sig, order, coeffs)
+        if not sep or not (left.startswith(opening) and left.endswith(closing)):
+            raise UsageError(f"series line {line!r}; expected \"{opening}a1,..): expr\""
+                             if series else f"table line {line!r} is missing ':'")
+        text = left[len(opening):len(left) - len(closing)]
+        alpha = _parse_index_list(text, sig.s)
+        if alpha in out:
+            raise UsageError(f"multi-index {text.strip()!r} given twice")
+        out[alpha] = parse_element(right.strip(), carrier)
+    return out
 
 
 # -- subcommand handlers (each returns the full output text) -------------------
@@ -216,13 +206,14 @@ def _cmd_aut_series(args) -> str:
 
 def _cmd_map_series(args) -> str:
     sig = _signature_from(args)
-    table = _read_table_lines(sys.stdin, sig)
+    table = _read_indexed_lines(sys.stdin, sig, series=False)
     return str(map_to_series(sig, table, args.max_order))
 
 
 def _cmd_apply_series(args) -> str:
     sig = _signature_from(args)
-    series = _read_series_lines(sys.stdin, sig)
+    coeffs = _read_indexed_lines(sys.stdin, sig, series=True)
+    series = DiffOpSeries(sig, max((sum(a) for a in coeffs), default=0), coeffs)
     element = parse_element(args.expr, WeylCarrier(sig))
     return str(series_apply(series, element))
 

@@ -12,6 +12,7 @@ from lndcalc import (
     DiffOpSeries,
     JacobianError,
     LndError,
+    LndSystem,
     RelationError,
     SignatureMismatchError,
     UsageError,
@@ -68,10 +69,10 @@ def _fixes_generators(aut):
 
 def test_verify_examples():
     ident = Automorphism.identity(A10)
-    assert ident.verified and _fixes_generators(ident)
+    assert ident.delta == 1 and _fixes_generators(ident)
 
     good = _aut(A10, "x1 -> x1; x2 -> x2 + x1^2")
-    assert good.verified
+    assert good.delta == 1
 
     with pytest.raises(RelationError) as err:
         _aut(A10, "x1 -> x1; x2 -> x2 + x2^2")
@@ -157,12 +158,6 @@ def test_apply_forms_one_product_per_distinct_nonzero_prefix(monkeypatch):
     monkeypatch.setattr(weyl, "weyl_mul", lambda *args: calls.append(1) or real(*args))
     assert sigma.apply(a) == expected
     assert len(calls) == powers + len(prefixes) == 216
-
-
-def test_apply_refuses_unverified_input():
-    raw = Automorphism(A10, _gens(A10))
-    with pytest.raises(LndError):
-        raw.apply(WeylElement.generator(A10, 0))
 
 
 # -- twisted partials -------------------------------------------------------------
@@ -305,25 +300,44 @@ def test_invert_central_twist_example():
     assert _fixes_generators(aut_compose(tau, sigma))
 
 
-def test_invert_rejects_forged_images():
-    bogus = Automorphism(A10, [WeylElement.generator(A10, 0)] * 2, verified=True)
-    with pytest.raises(LndError):
-        invert(bogus)
-
-
 @pytest.mark.parametrize("sig, text, error, message", [
-    (A10, "x1 -> 2*x1; x2 -> x2", RelationError, r"\[s\(x2\),s\(x1\)\] != 1"),
-    (P1, "x1 -> 2*x1", LndError, "fails to compose to the identity"),
-    (P2, "x1 -> x1 + x2^2; x2 -> x2 + x1^2", JacobianError, "is not a nonzero constant"),
-    (A11, "x1 -> x1*x3; x2 -> x2; x3 -> x3", CapExceededError, "degree cap"),
-], ids=["relation", "certificate", "jacobian", "cap"])
-def test_invert_of_a_non_automorphism_marked_verified_raises(sig, text, error, message):
-    # the twisted system is not validated: the candidate built from it is
-    # what aut_verify or the certificate rejects
-    forged = Automorphism(sig, parse_images(text, WeylCarrier(sig)), verified=True)
-    with pytest.raises(error, match=message) as info:
-        invert(forged)
-    assert type(info.value) is error
+    (A10, "x1 -> x1; x2 -> x1", RelationError, "[s(x2),s(x1)] != 1"),
+    (A10, "x1 -> 2*x1; x2 -> x2", RelationError, "[s(x2),s(x1)] != 1"),
+    (P2, "x1 -> x1 + x2^2; x2 -> x2 + x1^2", JacobianError,
+     "Delta = -4*x1*x2 + 1 is not a nonzero constant"),
+    (A11, "x1 -> x1*x3; x2 -> x2; x3 -> x3", RelationError, "[s(x2),s(x1)] != 1"),
+], ids=["repeated", "relation", "jacobian", "central-factor"])
+def test_a_non_automorphism_cannot_be_built(sig, text, error, message):
+    # no Automorphism exists unchecked, so invert, apply and the rest never
+    # see such images
+    images = parse_images(text, WeylCarrier(sig))
+    for build in (Automorphism, aut_verify):
+        with pytest.raises(error) as info:
+            build(sig, images)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_stretch_of_p1_is_checked_with_its_delta():
+    sigma = _aut(P1, "x1 -> 2*x1")
+    assert sigma.delta == 2
+    assert str(invert(sigma)) == "x1 -> 1/2*x1"
+
+
+def test_invert_checks_the_relations_of_its_candidate(monkeypatch):
+    # a walk that returns 2*x_i gives a candidate with [t(x2), t(x1)] = 4
+    monkeypatch.setattr(LndSystem, "_taylor_at_zero", lambda self, x: (x * 2).terms)
+    with pytest.raises(RelationError, match=r"^\[s\(x2\),s\(x1\)\] != 1$"):
+        invert(_aut(A10, "x1 -> x1; x2 -> x2 + x1^2"))
+
+
+def test_invert_certifies_its_candidate(monkeypatch):
+    # a walk that returns x_i gives the identity: an automorphism, but not
+    # the inverse, so only the certificate s(t(x_i)) = x_i rejects it
+    monkeypatch.setattr(LndSystem, "_taylor_at_zero", lambda self, x: x.terms)
+    for sig, text in ((A10, "x1 -> x1; x2 -> x2 + x1^2"), (P1, "x1 -> 2*x1")):
+        with pytest.raises(LndError, match="fails to compose to the identity") as info:
+            invert(_aut(sig, text))
+        assert type(info.value) is LndError
 
 
 # -- composition ------------------------------------------------------------------

@@ -386,3 +386,66 @@ def test_negative_bounds_are_usage_errors(capsys, monkeypatch):
         code, out = run(capsys, ["invariants", "--free", "2", flag, "-1"])
         assert (code, out) == (
             2, "ERROR usage: word and degree bounds must be non-negative\n")
+
+
+# one row per outside-input check: (argv, stdin, exit code, the printed line)
+INPUT_CHECKS = {
+    "laurent-entry": (["mul", "--poly", "2", "--laurent", "a", "x1", "x2"], "", 2,
+                      "ERROR usage: bad --laurent entry 'a'; use 1-based indices"),
+    "laurent-range": (["mul", "--poly", "2", "--laurent", "3", "x1", "x2"], "", 2,
+                      "ERROR usage: --laurent index 3 out of range 1..2"),
+    "laurent-weyl": (["mul", "--n", "1", "--laurent", "1", "x1", "x2"], "", 2,
+                     "ERROR usage: --laurent needs the --poly carrier"),
+    "laurent-free": (["mul", "--free", "1", "--laurent", "1", "x1", "x1"], "", 2,
+                     "ERROR usage: --laurent needs the --poly carrier"),
+    "poly-0": (["mul", "--poly", "0", "x1", "x1"], "", 2,
+               "ERROR usage: --poly needs at least one variable"),
+    "free-0": (["mul", "--free", "0", "x1", "x1"], "", 2,
+               "ERROR usage: --free needs at least one generator"),
+    "signature-0": (["mul", "--n", "0", "--m", "0", "x1", "x1"], "", 2,
+                    "ERROR usage: the signature needs at least one generator (--n/--m)"),
+    "multi-index": (["map-series", "--n", "0", "--m", "1", "--max-order", "0"], "a : 1\n", 2,
+                    "ERROR usage: bad multi-index 'a'"),
+    "table-colon": (["map-series", "--n", "0", "--m", "1", "--max-order", "0"], "0 1\n", 2,
+                    "ERROR usage: table line '0 1' is missing ':'"),
+    "table-twice": (["map-series", "--n", "0", "--m", "1", "--max-order", "1"],
+                    "0 : 1\n0 : 2\n1 : x1\n", 2, "ERROR usage: multi-index '0' given twice"),
+    "series-line": (["apply-series", "--n", "0", "--m", "1", "x1"], "d^0: 1\n", 2,
+                    "ERROR usage: series line 'd^0: 1'; expected \"d^(a1,..): expr\""),
+    "series-twice": (["apply-series", "--n", "0", "--m", "1", "x1"], "d^(0): 1\nd^( 0 ): 2\n", 2,
+                     "ERROR usage: multi-index '0' given twice"),
+    # the empty series prints as "0", and reads back as the zero series
+    "series-empty": (["apply-series", "--n", "0", "--m", "1", "x1"], "0\n", 0, "0"),
+    "slash": (["mul", "--poly", "1", "1/", "x1"], "", 2,
+              "ERROR syntax: expected digits after '/' (at offset 2)"),
+    "x0": (["mul", "--poly", "1", "x0", "x1"], "", 2,
+           "ERROR syntax: variable indices start at x1 (at offset 0)"),
+    "images-semicolon": (["verify", "--n", "1", "--m", "0", "--aut", "x1 -> x1 x2"], "", 2,
+                         "ERROR syntax: missing '*' between factors (at offset 9)"),
+    "relation-momentum-coordinate": (
+        ["verify", "--n", "2", "--m", "0", "--aut", "x1 -> x1; x2 -> x2 + x1; x3 -> x3; x4 -> x4"],
+        "", 1, "ERROR relation: [s(x3),s(x2)] != 0"),
+    "relation-coordinates": (
+        ["verify", "--n", "2", "--m", "0", "--aut", "x1 -> x1; x2 -> x2 + x3; x3 -> x3; x4 -> x4"],
+        "", 1, "ERROR relation: [s(x1),s(x2)] != 0"),
+    "relation-momenta": (
+        ["verify", "--n", "2", "--m", "0", "--aut", "x1 -> x1; x2 -> x2; x3 -> x3 + x2; x4 -> x4"],
+        "", 1, "ERROR relation: [s(x3),s(x4)] != 0"),
+    "not-central": (["verify", "--n", "1", "--m", "1", "--aut", "x1 -> x1; x2 -> x2; x3 -> x3 + x1"],
+                    "", 1, "ERROR relation: s(x3) not central"),
+}
+
+
+@pytest.mark.parametrize("argv, stdin, code, line", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_outside_input_checks(capsys, monkeypatch, argv, stdin, code, line):
+    assert run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch) == (code, line + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["invert"], ["compose", "--aut2", "x1 -> x1; x2 -> x2"], ["log-aut"],
+    ["aut-series"],
+], ids=lambda argv: argv[0])
+def test_every_automorphism_command_refuses_a_non_automorphism(capsys, argv):
+    # the images are checked when the automorphism is built, before any work
+    code, out = run(capsys, argv + ["--n", "0", "--m", "2", "--aut", "x1 -> x1^2; x2 -> x2"])
+    assert (code, out) == (1, "ERROR jacobian: Delta = 2*x1 is not a nonzero constant\n")

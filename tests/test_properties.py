@@ -261,7 +261,7 @@ def test_delta_is_the_sympy_determinant_of_the_central_jacobian(sig, data):
     expected = WeylElement(sig, {(0,) * nn + exps: Fraction(int(c.p), int(c.q))
                                  for exps, c in poly.terms() if c})
     argv = ["verify", "--n", str(sig.n), "--m", str(sig.m),
-            "--aut", str(Automorphism(sig, images))]
+            "--aut", "; ".join(f"x{i + 1} -> {img}" for i, img in enumerate(images))]
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)
     if expected.is_constant() and not expected.is_zero():
