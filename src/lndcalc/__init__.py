@@ -18,7 +18,7 @@ from .automorphisms import (
     twisted_partials,
     twisted_system,
 )
-from .commpoly import CommPoly, jacobian_det
+from .commpoly import CommPoly
 from .errors import (
     CapExceededError,
     JacobianError,
@@ -99,7 +99,6 @@ __all__ = [
     "exp_der",
     "graded_kernel_oracle",
     "invert",
-    "jacobian_det",
     "linear_map_table",
     "log_aut",
     "map_to_series",

@@ -39,9 +39,11 @@ rejects.
 ``log_aut`` and ``exp_der`` convert between unipotent automorphisms and
 locally nilpotent derivations.  A ``Derivation``, given by its generator
 values, runs as the descriptor ad(u) + sum_l v_{2n+l} d_{2n+l} with u in
-closed form (class docstring).  ``aut_to_series`` / ``map_to_series``
-express polynomial automorphisms (and arbitrary tabulated linear maps) as
-differential operator series  sum_alpha a_alpha d^alpha.
+closed form (class docstring).  ``map_to_series`` expresses a linear map
+of A(n, m), tabulated on the normal monomials, as the differential operator
+series  sum_alpha a_alpha d^alpha  (left coefficients; d_i the power rule on
+normal monomials, so d_i = ad(x_{n+i}), d_{n+i} = -ad(x_i)), solved layer by
+layer; ``aut_to_series`` is that solve over an automorphism's table.
 """
 
 from __future__ import annotations
@@ -427,26 +429,8 @@ def _check_order(max_order: int) -> None:
 
 
 def aut_to_series(aut: Automorphism, max_order: int) -> DiffOpSeries:
-    """s = sum_alpha (s(x) - x)^alpha / alpha! * d^alpha, truncated."""
-    _check_order(max_order)
-    sig = aut.signature
-    if sig.n != 0:
-        raise UsageError("series form needs a polynomial signature (n = 0)")
-    diffs = [
-        aut.images[i] - WeylElement.generator(sig, i) for i in range(sig.s)
-    ]
-    coeffs: dict[MultiIndex, WeylElement] = {}
-    for alpha in iter_upto(sig.s, max_order):
-        piece = WeylElement.one(sig)
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                piece = weyl_mul(piece, diffs[i])
-            if piece.is_zero():
-                break
-        piece = piece * Fraction(1, multi_factorial(alpha))
-        if not piece.is_zero():
-            coeffs[alpha] = piece
-    return DiffOpSeries(sig, max_order, coeffs)
+    """The series of s, truncated: the ``map_to_series`` solve over s's table."""
+    return map_to_series(aut.signature, linear_map_table(aut, max_order), max_order)
 
 
 def series_apply(series: DiffOpSeries, a: WeylElement) -> WeylElement:
@@ -464,33 +448,48 @@ def series_apply(series: DiffOpSeries, a: WeylElement) -> WeylElement:
 
 
 def linear_map_table(aut: Automorphism, max_order: int) -> dict[MultiIndex, WeylElement]:
-    """Tabulate a on all basis monomials x^alpha with |alpha| <= max_order."""
+    """Tabulate s on all basis monomials x^alpha with |alpha| <= max_order,
+    each as s(x^(alpha - e_j)) * s(x_j), x_j the last factor of the normal
+    monomial x^alpha."""
     _check_order(max_order)
     sig = aut.signature
-    return {
-        alpha: aut.apply(WeylElement.monomial(sig, alpha))
-        for alpha in iter_upto(sig.s, max_order)
-    }
+    table = {}
+    for alpha in iter_upto(sig.s, max_order):
+        if not any(alpha):
+            table[alpha] = WeylElement.one(sig)
+            continue
+        j = max(i for i, e in enumerate(alpha) if e)
+        prefix = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+        table[alpha] = weyl_mul(table[prefix], aut.images[j])
+    return table
 
 
 def map_to_series(
     signature: WeylSignature, table: dict[MultiIndex, WeylElement], max_order: int
 ) -> DiffOpSeries:
     """Unique series with f(x^alpha) = sum_beta a_beta d^beta(x^alpha) for all
-    |alpha| <= max_order, solved layer by layer:
+    |alpha| <= max_order, solved layer by layer over the closed form
+    d^beta x^alpha = alpha!/(alpha-beta)! x^(alpha-beta) (beta <= alpha):
 
-        f(x^alpha) = alpha! a_alpha + sum_{|beta| < |alpha|} a_beta d^beta(x^alpha).
-    """
+        f(x^alpha) = alpha! a_alpha + sum_{beta < alpha} a_beta d^beta(x^alpha).
+
+    A table entry beyond max_order is refused, not dropped."""
     _check_order(max_order)
     table = {tuple(k): v for k, v in table.items()}
+    if beyond := [k for k in table if sum(k) > max_order]:
+        raise UsageError(f"linear map table has the monomial {beyond[0]} "
+                         f"beyond max order {max_order}")
     solved: dict[MultiIndex, WeylElement] = {}
     for alpha in iter_upto(signature.s, max_order):
         if alpha not in table:
             raise UsageError(f"linear map table is missing the monomial {alpha}")
         rhs = table[alpha]
+        fact = multi_factorial(alpha)
         for beta, a_beta in solved.items():
-            pd = WeylElement.monomial(signature, alpha).multi_partial(beta)
-            if not pd.is_zero():
-                rhs = rhs - weyl_mul(a_beta, pd)
-        solved[alpha] = rhs * Fraction(1, multi_factorial(alpha))
+            if all(b <= a for b, a in zip(beta, alpha)):
+                rest = tuple(a - b for a, b in zip(alpha, beta))
+                minus_pd = {rest: -(fact // multi_factorial(rest))}  # -d^beta(x^alpha)
+                rhs = rhs + weyl_mul(a_beta, WeylElement._trusted(signature, minus_pd))
+        if not rhs.is_zero():
+            solved[alpha] = rhs * Fraction(1, fact)
     return DiffOpSeries(signature, max_order, solved)

@@ -297,8 +297,8 @@ _COMMANDS = {
     "log-aut": (_cmd_log_aut, "logarithm of a unipotent automorphism", _WEYL, (_AUT,)),
     "exp-der": (_cmd_exp_der, "exponential of a locally nilpotent derivation", _WEYL,
                 (_arg("--der", required=True, help='"x1 -> expr; ..." generator values'),)),
-    "aut-series": (_cmd_aut_series, "differential operator series of a "
-                   "polynomial automorphism (n = 0)", _WEYL,
+    "aut-series": (_cmd_aut_series, "differential operator series of an "
+                   "automorphism of A(n,m)", _WEYL,
                    (_AUT, _arg("--max-order", type=int, default=6))),
     "map-series": (_cmd_map_series, "solve for the series of a linear map "
                    "tabulated on stdin as lines \"a1,..,as : expr\"", _WEYL,

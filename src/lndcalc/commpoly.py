@@ -16,7 +16,7 @@ from operator import add
 from .errors import LndError, SignatureMismatchError, UsageError
 from .formatting import Scalar
 from .multiindex import MultiIndex
-from .sparse import SparseElement, det, substitute
+from .sparse import SparseElement
 
 
 class CommPoly(SparseElement):
@@ -105,34 +105,3 @@ class CommPoly(SparseElement):
             if e and i not in self.laurent_mask:
                 raise LndError(f"variable x{i + 1} is not invertible")
         return self.like({tuple(-e for e in exps): Fraction(1) / coeff})
-
-    # -- calculus ----------------------------------------------------------
-
-    def substitute(self, images: list[CommPoly]) -> CommPoly:
-        """Simultaneous substitution x_i -> images[i] (``sparse.substitute``).
-
-        A negative exponent at position i requires images[i] to be an
-        invertible monomial; otherwise the substitution is rejected.
-        """
-        if len(images) != self.num_vars:
-            raise SignatureMismatchError(
-                f"{len(images)} images for {self.num_vars} variables"
-            )
-        if not images:
-            return CommPoly.constant(0, self.constant_term())
-        for img in images[1:]:
-            images[0]._check_compatible(img)
-        return substitute(self, images)
-
-
-def jacobian_det(images: list[CommPoly]) -> CommPoly:
-    """det(d images_i / d x_j) over a square system, by cofactor expansion."""
-    m = len(images)
-    if m == 0:
-        raise LndError("empty system has no Jacobian")
-    for img in images:
-        if img.num_vars != m:
-            raise SignatureMismatchError(
-                f"system of {m} images over {img.num_vars} variables is not square"
-            )
-    return det([[img.partial(j) for j in range(m)] for img in images])

@@ -30,8 +30,9 @@ Operands of different carriers or contexts raise ``SignatureMismatchError``.
 Two pieces of algebra over elements also live here, written once for every
 carrier: ``det(rows)``, a determinant by cofactor expansion (the entries
 must commute), and ``substitute(a, images)``, the image of an exponent-vector
-element under x_i -> images[i].  ``CommPoly.substitute``/``jacobian_det``
-and ``Automorphism.apply``/``aut_verify`` call them.
+element under x_i -> images[i].  Only the automorphisms call them:
+``Automorphism.apply`` calls ``substitute``, and the checks that
+``aut_verify`` runs (and ``twisted_partials``) call ``det``.
 """
 
 from __future__ import annotations
@@ -301,18 +302,15 @@ def substitute(a: SparseElement, images: list):
     once and kept on a stack of at most s entries while it is shared.  The
     highest power of x1 comes first, so a product over the degree cap
     fails before the rest of the work is done.  Powers are cached and built
-    one factor at a time; a negative exponent chains ``images[i] ** -1``
-    (a carrier without that inverse raises)."""
+    one factor at a time; exponents are non-negative."""
     s = len(images)
-    chains: dict[tuple[int, bool], list] = {}  # (i, e < 0) -> images[i]^+-1, ^+-2, ...
+    chains: list[list] = [[img] for img in images]  # chains[i]: images[i]^1, ^2, ...
 
     def power(i: int, e: int):
-        chain = chains.get((i, e < 0))
-        if chain is None:
-            chain = chains[i, e < 0] = [images[i] if e > 0 else images[i] ** -1]
-        while len(chain) < abs(e):
+        chain = chains[i]
+        while len(chain) < e:
             chain.append(chain[-1] * chain[0])
-        return chain[abs(e) - 1]
+        return chain[e - 1]
 
     unit = images[0] ** 0
     total = unit.scale(0)

@@ -35,6 +35,7 @@ from lndcalc import (
 from lndcalc import weyl
 from lndcalc.multiindex import iter_upto
 from lndcalc.parsing import WeylCarrier
+from oracle_series import closed_form_series
 from support import (
     MAP_A11,
     MAP_A20,
@@ -485,11 +486,6 @@ def _fact(k):
     return out
 
 
-def test_aut_to_series_needs_a_polynomial_signature():
-    with pytest.raises(LndError):
-        aut_to_series(Automorphism.identity(A10), 3)
-
-
 def test_series_apply_examples():
     one = DiffOpSeries(P1, 0, {(0,): WeylElement.one(P1)})
     rng = Random(507)
@@ -556,6 +552,10 @@ def test_map_to_series_examples():
 def test_map_to_series_requires_a_complete_table():
     with pytest.raises(LndError):
         map_to_series(P1, {(0,): WeylElement.one(P1)}, 2)
+    # an entry beyond the order is refused, not dropped
+    table = {alpha: WeylElement.monomial(P1, alpha) for alpha in iter_upto(1, 3)}
+    with pytest.raises(UsageError, match=r"monomial \(3,\) beyond max order 2"):
+        map_to_series(P1, table, 2)
 
 
 def test_negative_max_order_is_a_usage_error():
@@ -569,12 +569,13 @@ def test_negative_max_order_is_a_usage_error():
 
 
 def test_map_to_series_matches_aut_to_series():
+    # both are the table solve; the Taylor closed form is the P_m oracle
     rng = Random(510)
     for _ in range(5):
         sigma = random_unipotent_poly(rng, P2)
-        direct = aut_to_series(sigma, 5)
-        solved = map_to_series(P2, linear_map_table(sigma, 5), 5)
-        assert solved.coeffs == direct.coeffs
+        expected = closed_form_series(sigma, 5)
+        assert aut_to_series(sigma, 5).coeffs == expected
+        assert map_to_series(P2, linear_map_table(sigma, 5), 5).coeffs == expected
 
 
 def test_series_text_form():

@@ -206,19 +206,22 @@ def test_apply_series_from_stdin(capsys, monkeypatch):
     assert (code, out) == (0, "x1^2 + 2*x1 + 1\n")
 
 
-@pytest.mark.parametrize("images, expr", [
-    ("x1 -> x1 + 1; x2 -> x2 + x1^2", "x1^2*x2 + 3*x2^2 - x1"),
-    ("x1 -> x1 - 2; x2 -> x2 + 1/2*x1^3 - x1", "x2^3 + x1*x2 + 1"),
+@pytest.mark.parametrize("n, m, images, expr", [
+    (0, 2, "x1 -> x1 + 1; x2 -> x2 + x1^2", "x1^2*x2 + 3*x2^2 - x1"),
+    (0, 2, "x1 -> x1 - 2; x2 -> x2 + 1/2*x1^3 - x1", "x2^3 + x1*x2 + 1"),
+    (1, 0, "x1 -> x1; x2 -> x2 + x1^2", "x2^2*x1 + 3*x2 - x1^2"),
+    (1, 0, "x1 -> x1 + x2^2 - 1; x2 -> x2", "x2*x1*x2 + x1^3 + 2"),
+    (1, 1, "x1 -> x1 + x3^3; x2 -> x2 + x1^2*x3 - x1; x3 -> x3 + 1", "x2*x3*x1 + x3^2 - x2"),
 ])
-def test_aut_series_output_is_apply_series_input(capsys, monkeypatch, images, expr):
+def test_aut_series_output_is_apply_series_input(capsys, monkeypatch, n, m, images, expr):
     # truncated at order 3 the series is exact on expressions of degree <= 3
-    flags = ["--n", "0", "--m", "2"]
+    flags = ["--n", str(n), "--m", str(m)]
     code, series = run(capsys, ["aut-series", *flags, "--aut", images,
                                 "--max-order", "3"])
     assert code == 0
     code, out = run(capsys, ["apply-series", *flags, expr],
                     stdin=series, monkeypatch=monkeypatch)
-    carrier = WeylCarrier(WeylSignature(0, 2))
+    carrier = WeylCarrier(WeylSignature(n, m))
     aut = aut_verify(carrier.signature, parse_images(images, carrier))
     assert (code, out) == (0, f"{aut.apply(parse_element(expr, carrier))}\n")
 
@@ -410,6 +413,9 @@ INPUT_CHECKS = {
                     "ERROR usage: table line '0 1' is missing ':'"),
     "table-twice": (["map-series", "--n", "0", "--m", "1", "--max-order", "1"],
                     "0 : 1\n0 : 2\n1 : x1\n", 2, "ERROR usage: multi-index '0' given twice"),
+    "table-beyond": (["map-series", "--n", "0", "--m", "1", "--max-order", "1"],
+                     "0 : 1\n1 : x1 + 1\n5 : 7\n", 2,
+                     "ERROR usage: linear map table has the monomial (5,) beyond max order 1"),
     "series-line": (["apply-series", "--n", "0", "--m", "1", "x1"], "d^0: 1\n", 2,
                     "ERROR usage: series line 'd^0: 1'; expected \"d^(a1,..): expr\""),
     "series-twice": (["apply-series", "--n", "0", "--m", "1", "x1"], "d^(0): 1\nd^( 0 ): 2\n", 2,

@@ -11,7 +11,6 @@ from lndcalc import (
     LndError,
     SignatureMismatchError,
     UsageError,
-    jacobian_det,
     parse_element,
     standard_system,
 )
@@ -65,81 +64,6 @@ def test_leibniz_and_commuting_partials():
         for i in range(3):
             for j in range(3):
                 assert a.partial(i).partial(j) == a.partial(j).partial(i)
-
-
-def test_substitute_examples():
-    a = parse_element("x1 + x2", CommCarrier(2))
-    swapped = a.substitute([parse_element("x2", CommCarrier(2)),
-                            parse_element("x1", CommCarrier(2))])
-    assert swapped == a
-
-    sq = parse_element("x1^2", CommCarrier(1))
-    assert sq.substitute([parse_element("x1 + 1", CommCarrier(1))]) == \
-        parse_element("x1^2 + 2*x1 + 1", CommCarrier(1))
-
-    prod = parse_element("x1*x2", CommCarrier(2))
-    images = [parse_element("2*x1", CommCarrier(2)), parse_element("x2 + x1", CommCarrier(2))]
-    assert prod.substitute(images) == parse_element("2*x1*x2 + 2*x1^2", CommCarrier(2))
-
-
-def test_substitute_on_p0_and_at_a_high_power():
-    # P_0 has no generators: its elements are constants and stay so
-    assert CommPoly.constant(0, Fraction(3, 4)).substitute([]) == CommPoly.constant(0, Fraction(3, 4))
-    assert CommPoly.zero(0).substitute([]).is_zero()
-    # powers are built one factor at a time, not by recursion on the exponent
-    x1 = CommPoly.variable(1, 0)
-    assert (x1 ** 2000).substitute([x1.scale(2)]) == CommPoly.monomial(1, (2000,), 2 ** 2000)
-    mask = frozenset({0})
-    inv = CommPoly.monomial(1, (-1,), 1, mask)
-    assert CommPoly.monomial(1, (-2000,), 1, mask).substitute([inv.scale(2)]) == \
-        CommPoly.monomial(1, (2000,), Fraction(1, 2 ** 2000), mask)
-
-
-def test_substitute_negative_exponent_requires_a_unit():
-    mask = frozenset({0})
-    a = parse_element("x1^-1", CommCarrier(2, mask))
-    # substituting a non-unit into an inverted position fails
-    with pytest.raises(LndError):
-        a.substitute([parse_element("x1 + 1", CommCarrier(2, mask)),
-                      parse_element("x2", CommCarrier(2, mask))])
-    # a plain monomial image is fine: (x2)^-1 needs x2 invertible in the target
-    units = CommCarrier(2, frozenset({0, 1}))
-    b = a.substitute([parse_element("x2", units), parse_element("x1", units)])
-    assert b == parse_element("x2^-1", units)
-
-
-def test_jacobian_examples():
-    p2 = CommCarrier(2)
-    assert jacobian_det([parse_element("x1", p2), parse_element("x2", p2)]) == \
-        parse_element("1", p2)
-    assert jacobian_det([parse_element("x1 + x2^2", p2), parse_element("x2", p2)]) == \
-        parse_element("1", p2)
-    assert jacobian_det([parse_element("2*x1", p2), parse_element("3*x2", p2)]) == \
-        parse_element("6", p2)
-
-
-def test_jacobian_requires_square_input():
-    with pytest.raises(LndError):
-        jacobian_det([parse_element("x1", CommCarrier(2))])
-
-
-def test_jacobian_chain_rule_on_triangular_samples():
-    rng = Random(104)
-    for _ in range(10):
-        a, b = rng.randint(1, 4), rng.randint(1, 4)
-        c, d = rng.randint(1, 4), rng.randint(1, 4)
-        outer = [
-            CommPoly.constant(2, a) * CommPoly.variable(2, 0) + random_comm(rng, 2, 3).substitute([CommPoly.constant(2, 0), CommPoly.variable(2, 1)]),
-            CommPoly.constant(2, b) * CommPoly.variable(2, 1),
-        ]
-        inner = [
-            CommPoly.constant(2, c) * CommPoly.variable(2, 0) + random_comm(rng, 2, 3).substitute([CommPoly.constant(2, 0), CommPoly.variable(2, 1)]),
-            CommPoly.constant(2, d) * CommPoly.variable(2, 1),
-        ]
-        composed = [f.substitute(inner) for f in outer]
-        lhs = jacobian_det(composed)
-        rhs = jacobian_det(outer).substitute(inner) * jacobian_det(inner)
-        assert lhs == rhs
 
 
 def test_laurent_arithmetic():
@@ -197,7 +121,7 @@ def test_arithmetic_results_are_well_formed():
         x = random_comm(rng, 3, 3, laurent_mask=mask)
         for _ in range(60):
             y = random_comm(rng, 3, 2, laurent_mask=mask)
-            op = rng.randrange(9)
+            op = rng.randrange(8)
             if op == 0:
                 x = x + y
             elif op == 1:
@@ -212,11 +136,6 @@ def test_arithmetic_results_are_well_formed():
                 x = x * y
             elif op == 6:
                 x = x * unit ** -rng.randint(1, 2)
-            elif op == 7:
-                # x1 may carry a negative exponent only under the mask, where
-                # its image is the unit
-                images = [unit, y, CommPoly.variable(3, 1, mask)]
-                x = x.substitute(images if mask else images[::-1])
             else:
                 x = x - x + y
             _assert_clean(x)

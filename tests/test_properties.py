@@ -1,6 +1,7 @@
-"""Property tests on generated tame automorphisms of P_m and of A(n, m),
-on generated derivations of A(n, m), and print-then-parse on generated
-elements of all three carriers (needs hypothesis; skipped without it).
+"""Property tests on generated tame automorphisms of P_m and of A(n, m)
+(inverses, exp/log, operator series), on generated derivations of A(n, m),
+and print-then-parse on generated elements of all three carriers (needs
+hypothesis; skipped without it).
 Examples are derandomized and few, so the run is fixed and short."""
 
 import contextlib
@@ -24,11 +25,13 @@ from lndcalc import (  # noqa: E402
     WeylElement,
     WeylSignature,
     aut_compose,
+    aut_to_series,
     aut_verify,
     exp_der,
     invert,
     log_aut,
     parse_element,
+    series_apply,
     twisted_partials,
     twisted_system,
 )
@@ -202,6 +205,23 @@ def test_derivation_apply_is_the_leibniz_extension(sig, data):
     for _ in range(3):
         a = data.draw(weyl_elements(sig, list(range(sig.s)), 3, 3))
         assert d.apply(a) == leibniz_apply(values, a)
+
+
+# -- operator series on A(n, m), n > 0 -----------------------------------------
+
+SERIES_ORDER = 4
+
+
+@pytest.mark.parametrize("sig", WEYL_SIGNATURES[:2], ids=str)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_series_of_a_weyl_shear_applies_as_the_map(sig, data):
+    """Truncated at order N, s's series is exact on elements of degree <= N."""
+    aut, _ = data.draw(weyl_tame_maps(sig))
+    series = aut_to_series(aut, SERIES_ORDER)
+    for _ in range(3):
+        a = data.draw(weyl_elements(sig, list(range(sig.s)), 3, SERIES_ORDER))
+        assert series_apply(series, a) == aut.apply(a)
 
 
 # -- A(n, m), m >= 1: the central Jacobian against sympy ------------------------

@@ -10,10 +10,13 @@ from lndcalc import (
     FreeElement,
     LndError,
     UsageError,
+    WeylCarrier,
     WeylElement,
     WeylSignature,
+    parse_element,
 )
 from lndcalc.multiindex import iter_layer
+from lndcalc.sparse import substitute
 
 A11 = WeylSignature(1, 1)
 LAURENT = frozenset({1})
@@ -80,3 +83,13 @@ def test_elements_are_immutable_and_negative_powers_need_units():
     with pytest.raises(LndError, match="negative powers do not exist in a free algebra"):
         FreeElement.generator(2, 0) ** -1
     assert CommPoly.variable(2, 1, LAURENT) ** -2 == CommPoly.monomial(2, (0, -2), 1, LAURENT)
+
+
+def test_substitute_examples():
+    def el(text):
+        return parse_element(text, WeylCarrier(WeylSignature(0, 2)))
+
+    assert substitute(el("x1 + x2"), [el("x2"), el("x1")]) == el("x1 + x2")
+    assert substitute(el("x1^2"), [el("x1 + 1"), el("x2")]) == el("x1^2 + 2*x1 + 1")
+    assert substitute(el("x1*x2"), [el("2*x1"), el("x2 + x1")]) == el("2*x1*x2 + 2*x1^2")
+    assert substitute(el("3/4"), [el("x2"), el("x1")]) == el("3/4")
