@@ -16,10 +16,11 @@ Carrier selection (exactly one):
 Variables are written x1..xs everywhere, 1-based.
 
 ``main(argv)`` builds a parser that knows every subcommand name, but gives
-options and arguments only to the subcommand named by ``argv[0]``; when
-``argv[0]`` names none (no arguments, ``-h``, an unknown name) every
-subcommand gets its arguments.  Usage, help and error output are the same
-either way.  The parser is built anew on each call.
+options, arguments and ``-h`` only to the subcommand named by ``argv[0]``;
+every other name is a bare parser (no arguments, no ``-h``) that never
+parses.  When ``argv[0]`` names none (no arguments, ``-h``, an unknown name)
+every subcommand gets its arguments and ``-h``.  Usage, help and error output
+are the same either way.  The parser is built anew on each call.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .parsing import (
     WeylCarrier,
     parse_element,
     parse_images,
+    parse_list,
 )
 from .projections import NILPOTENCE_CAP, standard_system
 from .weyl import WeylSignature
@@ -221,12 +223,10 @@ def _cmd_apply_series(args) -> str:
 def _cmd_invariants(args) -> str:
     carrier = _carrier_from(args)
     system = standard_system(carrier.constant(1), args.cap)
-    if args.gens:
-        gens = [
-            parse_element(piece.strip(), carrier) for piece in args.gens.split(";")
-        ]
-    else:
+    if args.gens is None:
         gens = [carrier.variable(i) for i in range(carrier.count)]
+    else:
+        gens = parse_list(args.gens, carrier, "--gens")
     witnesses = enumerate_generators(system, gens, args.word_bound, args.degree_bound)
     if not witnesses:
         return "(none)"
@@ -326,7 +326,9 @@ _COMMANDS = {
 
 def _build_parser(selected: str | None) -> argparse.ArgumentParser:
     """The parser of every subcommand name; only ``selected`` gets its
-    arguments, or every subcommand when ``selected`` is None."""
+    arguments and ``-h``, or every subcommand when ``selected`` is None.
+    The other names are bare parsers: registered for usage, help and
+    ``invalid choice``, never parsing."""
     parser = argparse.ArgumentParser(
         prog="lndcalc",
         description="Exact calculator for algebras with commuting locally "
@@ -335,9 +337,10 @@ def _build_parser(selected: str | None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, carrier, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if selected not in (None, name):
+            sub.add_parser(name, help=help_text, add_help=False)
             continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", type=str, default=None,
                        help="also write the output text to this file")
         for flag, kwargs in carrier + arguments:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .commpoly import CommPoly
-from .errors import LndError, ParseError
+from .errors import LndError, ParseError, UsageError
 from .freealg import FreeElement
 from .weyl import WeylElement, WeylSignature
 
@@ -234,6 +234,25 @@ def parse_element(text: str, carrier: Carrier):
     if tok.kind != "END":
         raise ParseError("unexpected trailing input", offset=tok.offset)
     return node
+
+
+def parse_list(text: str, carrier: Carrier, name: str) -> list:
+    """Parse "expr; expr; ..." into its elements, offsets counted from the
+    start of ``text``; an empty ``text`` or entry is a UsageError naming
+    ``name``."""
+    parser = _Parser(tokenize(text), carrier)
+    if parser.peek().kind == "END":
+        raise UsageError(f"{name} is empty")
+    out = []
+    while True:
+        if parser.peek().kind in ("SEMI", "END"):
+            raise UsageError(f"{name} entry {len(out) + 1} is empty")
+        out.append(parser.expr())
+        tok = parser.take()
+        if tok.kind == "END":
+            return out
+        if tok.kind != "SEMI":
+            raise ParseError("unexpected trailing input", offset=tok.offset)
 
 
 def parse_images(text: str, carrier: Carrier) -> list:

@@ -9,6 +9,7 @@ import lndcalc.cli
 from lndcalc import WeylSignature, aut_verify, parse_element, parse_images
 from lndcalc.cli import _build_parser, main
 from lndcalc.parsing import WeylCarrier
+from cli_cases import ARGV, COLUMNS, NAMES
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -239,6 +240,23 @@ def test_invariants_listing(capsys):
     assert (code, out) == (0, "z - (1,0) y1 : 1\n")
 
 
+@pytest.mark.parametrize("gens, line", [
+    ("", "ERROR usage: --gens is empty"),
+    (" ", "ERROR usage: --gens is empty"),
+    (";", "ERROR usage: --gens entry 1 is empty"),
+    ("x1; ", "ERROR usage: --gens entry 2 is empty"),
+    ("x1;; x2", "ERROR usage: --gens entry 2 is empty"),
+    # syntax offsets count from the start of the flag's text
+    ("x1; x2 +", "ERROR syntax: expected a number, variable, or '(' (at offset 8)"),
+    ("x1; x2 )", "ERROR syntax: unexpected trailing input (at offset 7)"),
+    ("x1; x3", "ERROR syntax: variable x3 out of range (carrier has 2 generators) "
+               "(at offset 4)"),
+])
+def test_invariants_gens_errors(capsys, gens, line):
+    argv = ["invariants", "--poly", "2", "--word-bound", "1", "--gens", gens]
+    assert run(capsys, argv) == (2, line + "\n")
+
+
 def test_relation_answers_without_failing(capsys):
     assert run(capsys, ["relation", "--free", "2", "x1*x2 - x2*x1"]) == \
         (0, "false\n")
@@ -315,11 +333,6 @@ def test_unknown_subcommand_exits_2(capsys):
 
 # -- parser construction -------------------------------------------------------------
 
-NAMES = ("mul", "partial", "project", "taylor", "invert", "verify", "compose",
-         "log-aut", "exp-der", "aut-series", "map-series", "apply-series",
-         "invariants", "relation", "kernel", "weitzenboeck")
-
-
 def _subparsers(parser):
     return next(a for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
@@ -334,7 +347,19 @@ def test_a_selected_build_prints_the_help_of_the_full_build(name):
             == _subparsers(full)[name].format_help())
     for other, sub in _subparsers(selected).items():
         if other != name:
-            assert [a.dest for a in sub._actions] == ["help"], other
+            assert sub._actions == [], other
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+@pytest.mark.parametrize("argv", ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_selected_and_full_builds_print_the_same(capsys, monkeypatch, argv, columns):
+    # the full build is the oracle for every help, usage and parse error
+    monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    selected = main(argv), capsys.readouterr()
+    build = lndcalc.cli._build_parser
+    monkeypatch.setattr(lndcalc.cli, "_build_parser", lambda _: build(None))
+    assert (main(argv), capsys.readouterr()) == selected
 
 
 def test_unrecognized_arguments_list_every_subcommand(capsys):
