@@ -220,7 +220,8 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
     not vanish on the Weyl images (it fails to whenever those involve
     central variables, e.g. s(x1) = x1 + x3^2 in A(1,1)); the unique inner
     correction ad(u_j) restoring d'_{2n+j}(s(x_k)) = 0 is integrated from
-    the ad-direction system, which never requires knowing s^{-1}."""
+    the ad-direction system, which never requires knowing s^{-1}, and sits
+    beside the fused partials as in a ``Derivation``'s descriptor."""
     n, m = aut.signature.n, aut.signature.m
     out: list[DerivationDescriptor] = []
     for i in range(n):
@@ -235,21 +236,15 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
             # unchecked: invert's certificate covers these directions
             weyl_system = LndSystem(list(out), list(aut.images[: 2 * n]), check=False)
         for j in range(m):
-            parts = []
-            for l in range(m):
-                minor = _central_minor(jac, j, l)
-                if minor.is_zero():
-                    continue
-                sign = -1 if (j + l) % 2 else 1
-                parts.append((minor.scale(inv_delta * sign), PartialDerivation(2 * n + l)))
-            combo = CombinationDerivation(parts)
+            minors = [(l, _central_minor(jac, j, l)) for l in range(m)]
+            combo = CombinationDerivation([
+                (c.scale(inv_delta * (-1) ** (j + l)), PartialDerivation(2 * n + l))
+                for l, c in minors if not c.is_zero()])
             if weyl_system is not None:
                 stray = [combo.apply(aut.images[k]) for k in range(2 * n)]
                 if any(not w.is_zero() for w in stray):
                     u = _integrate_weyl(weyl_system, [-w for w in stray])
-                    combo = CombinationDerivation(
-                        [(Fraction(1), InnerDerivation(u))] + parts
-                    )
+                    combo = CombinationDerivation([(1, InnerDerivation(u)), (1, combo)])
             out.append(combo)
     return out
 
@@ -356,45 +351,37 @@ class Derivation:
         return f"Derivation({self.signature}, {str(self)!r})"
 
 
+def _nilpotent_sum(cur: WeylElement, step, coeff, what: str) -> WeylElement:
+    """sum_k coeff(k) * step^k(cur) over the nonzero step^k(cur); a nonzero
+    one with k > NILPOTENCE_CAP raises "``what`` within cap ..."."""
+    total, k = cur.scale(0), 0
+    while not cur.is_zero():
+        if k > NILPOTENCE_CAP:
+            raise CapExceededError(f"{what} within cap {NILPOTENCE_CAP}")
+        if c := coeff(k):
+            total = total + cur * c
+        cur = step(cur)
+        k += 1
+    return total
+
+
 def log_aut(aut: Automorphism) -> Derivation:
     """log of a unipotent automorphism:
-    d(x_i) = sum_{k>=1} (-1)^(k+1) (s - id)^k (x_i) / k."""
-    sig = aut.signature
-    values = []
-    for i in range(sig.s):
-        total = WeylElement.zero(sig)
-        cur = aut.images[i] - WeylElement.generator(sig, i)
-        k = 1
-        while not cur.is_zero():
-            if k > NILPOTENCE_CAP:
-                raise CapExceededError(
-                    f"(s - id) is not nilpotent on x{i + 1} within cap {NILPOTENCE_CAP}"
-                )
-            total = total + cur * Fraction((-1) ** (k + 1), k)
-            cur = aut.apply(cur) - cur
-            k += 1
-        values.append(total)
-    return Derivation(sig, values)
+    d(x_i) = sum_{k>=1} (-1)^(k+1) (s - id)^k (x_i) / k, the sum started at
+    x_i = (s - id)^0 x_i with coefficient 0."""
+    return Derivation(aut.signature, [
+        _nilpotent_sum(x, lambda a: aut.apply(a) - a,
+                       lambda k: Fraction((-1) ** (k + 1), k) if k else 0,
+                       f"(s - id) is not nilpotent on x{i + 1}")
+        for i, x in enumerate(WeylElement.one(aut.signature).generators())])
 
 
 def exp_der(deriv: Derivation) -> Automorphism:
     """exp of a locally nilpotent derivation: s(x_i) = sum_k d^k(x_i) / k!."""
-    sig = deriv.signature
-    images = []
-    for i in range(sig.s):
-        total = WeylElement.zero(sig)
-        cur = WeylElement.generator(sig, i)
-        k = 0
-        while not cur.is_zero():
-            if k > NILPOTENCE_CAP:
-                raise CapExceededError(
-                    f"derivation is not nilpotent on x{i + 1} within cap {NILPOTENCE_CAP}"
-                )
-            total = total + cur * Fraction(1, factorial(k))
-            cur = deriv.apply(cur)
-            k += 1
-        images.append(total)
-    return aut_verify(sig, images)
+    return aut_verify(deriv.signature, [
+        _nilpotent_sum(x, deriv.apply, lambda k: Fraction(1, factorial(k)),
+                       f"derivation is not nilpotent on x{i + 1}")
+        for i, x in enumerate(WeylElement.one(deriv.signature).generators())])
 
 
 # -- differential operator series --------------------------------------------

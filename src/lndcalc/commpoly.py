@@ -5,7 +5,8 @@ exact polynomial over the rationals in variables x1..xs, on the shared core
 of ``sparse.SparseElement``.  Exponents are non-negative except at
 positions listed in ``laurent_mask``, which are invertible (Laurent)
 variables; keys are exponent vectors, and a monomial in those variables
-has negative powers.
+has negative powers: a ** -k is the inverse of a unit monomial a to the
+power k, and a ** k for k >= 0 is ``SparseElement``'s k successive products.
 """
 
 from __future__ import annotations
@@ -87,14 +88,7 @@ class CommPoly(SparseElement):
     def __pow__(self, k: int) -> CommPoly:
         if k < 0:
             return self._unit_inverse() ** (-k)
-        out = super().__pow__(0)  # the unit
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return super().__pow__(k)
 
     def _unit_inverse(self) -> CommPoly:
         """Inverse of an invertible monomial c*x^e with e supported on the mask."""

@@ -25,8 +25,9 @@ left coefficients read off one table of iterated derivatives d^gamma a:
               / (alpha! beta!)
 
 ``_table`` walks this table once, depth first, direction s outermost and
-direction 1 innermost, each column b, d_j b, d_j^2 b, ... derived lazily
-under the cap rule, and yields its nonzero entries.  ``taylor_decompose``
+direction 1 innermost, each column b, d_j b, d_j^2 b, ... one lazy
+``_column`` under the cap rule (phi_i, psi_i and the nilpotence check walk
+the same columns), and yields its nonzero entries.  ``taylor_decompose``
 folds them one direction at a time,
 
     P_0[g] = d^g a,   P_j[g] = sum_k (-1)^k/k! t_j^k P_(j-1)[g + k e_j],
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, perm, prod
+from math import perm, prod
 from operator import add, le, sub
 
 from .errors import CapExceededError, LndError, SignatureMismatchError, UsageError
@@ -259,14 +260,14 @@ class LndSystem:
                         f"derivation {i + 1} does not kill the unit x{v + 1}; "
                         "a locally nilpotent derivation kills every unit"
                     )
-        for deriv in self.derivations:
-            if isinstance(deriv, CombinationDerivation):
-                for coeff, _ in deriv.parts:
-                    # left-multiplier coefficients must commute with the carrier
-                    if not (isinstance(coeff, (int, Fraction)) or coeff.is_central()):
-                        raise LndError(
-                            "combination coefficient is not central in the carrier"
-                        )
+        combos = [d for d in self.derivations if isinstance(d, CombinationDerivation)]
+        while combos:  # nested combinations included
+            for coeff, deriv in combos.pop().parts:
+                if isinstance(deriv, CombinationDerivation):
+                    combos.append(deriv)
+                # left-multiplier coefficients must commute with the carrier
+                if not (isinstance(coeff, (int, Fraction)) or coeff.is_central()):
+                    raise LndError("combination coefficient is not central in the carrier")
         firsts: dict[tuple[int, int], Element] = {}
 
         def first(i: int, q: int) -> Element:
@@ -282,13 +283,11 @@ class LndSystem:
                         raise LndError(
                             f"derivations {i + 1} and {j + 1} do not commute on {p}"
                         )
-        for i in range(self.s):  # nilpotence, under the walk's cap rule
-            for q, p in enumerate(probes):
-                cur, depth = p, 0
-                while not cur.is_zero():
-                    self._check_depth(depth)
-                    cur = self.derive(i, cur) if depth else first(i, q)
-                    depth += 1
+        self._check_depth(0)  # nilpotence, under the walk's cap rule
+        for i in range(self.s):
+            for q in range(len(probes)):
+                for _ in self._column(i, first(i, q), 1):
+                    pass
 
     # -- the table walk ------------------------------------------------------
 
@@ -299,20 +298,25 @@ class LndSystem:
                 f"iterated derivatives of order beyond cap {self.nilpotence_cap}"
             )
 
+    def _column(self, i: int, b: Element, grade: int = 0):
+        """Yield b, d_i b, d_i^2 b, ... while nonzero, each derived lazily;
+        the entry of order ``grade`` + l passes ``_check_depth`` first."""
+        l = 0
+        while not b.is_zero():
+            self._check_depth(grade + l)
+            yield b
+            b = self.derive(i, b)
+            l += 1
+
     def _table(self, j: int, b: Element, tail: MultiIndex = ()):
         """Yield (gamma, d^gamma b) for the nonzero entries of the table of b
         in directions 1..j (``tail`` holds the indices spent above j): depth
-        first, direction j outermost, each column derived lazily under the
-        cap rule."""
-        if j == 0:
-            yield tail, b
-            return
-        i, grade, l = j - 1, sum(tail), 0
-        while not b.is_zero():
-            self._check_depth(grade + l)
-            yield from self._table(i, b, (l,) + tail)
-            b = self.derive(i, b)
-            l += 1
+        first, direction j >= 1 outermost, one ``_column`` per direction."""
+        for l, entry in enumerate(self._column(j - 1, b, sum(tail))):
+            if j == 1:
+                yield (l,) + tail, entry
+            else:
+                yield from self._table(j - 1, entry, (l,) + tail)
 
     def order(self, a: Element) -> int:
         """Largest |alpha| with d^alpha(a) != 0."""
@@ -326,19 +330,11 @@ class LndSystem:
         """phi_i(a) (``left``) or psi_i(a).  The cap bounds the power k of
         d_i alone, while the table walk bounds the total order |gamma|, so on
         s > 1 phi and psi can answer where ``taylor_decompose`` hits the cap."""
-        total = cur = a
-        power = self._one
-        k = 0
-        while not cur.is_zero():
-            self._check_depth(k)
-            cur = self.derive(i, cur)
-            if cur.is_zero():
-                break
-            k += 1
-            power = power * self.slices[i]
-            coeff = Fraction((-1) ** k, factorial(k))
-            piece = power * cur if left else cur * power
-            total = total + piece * coeff
+        t, total = self.slices[i], a
+        for k, cur in enumerate(self._column(i, a)):
+            if k:  # (-1)^k/k! t^k as in ``_fold``: -t, then one product each
+                term = -t if k == 1 else term * t * Fraction(-1, k)
+                total = total + (term * cur if left else cur * term)
         return total
 
     def phi(self, a: Element) -> Element:

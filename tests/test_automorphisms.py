@@ -32,7 +32,7 @@ from lndcalc import (
     twisted_partials,
     twisted_system,
 )
-from lndcalc import weyl
+from lndcalc import automorphisms, weyl
 from lndcalc.multiindex import iter_upto
 from lndcalc.parsing import WeylCarrier
 from oracle_series import closed_form_series
@@ -407,11 +407,31 @@ def test_exp_log_round_trips():
 
 
 def test_exp_log_caps():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as exc:
         exp_der(Derivation(P1, [WeylElement.generator(P1, 0)]))
+    assert str(exc.value) == "derivation is not nilpotent on x1 within cap 256"
     dilation = _aut(P1, "x1 -> 2*x1")
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as exc:
         log_aut(dilation)
+    assert str(exc.value) == "(s - id) is not nilpotent on x1 within cap 256"
+
+
+def test_exp_log_pass_at_the_nilpotence_order_and_raise_below_it(monkeypatch):
+    # d^k x1 and (s - id)^k x1 are nonzero for k <= 3 and vanish at k = 4
+    p4 = WeylSignature(0, 4)
+    gens = [WeylElement.generator(p4, i) for i in range(4)]
+    d = Derivation(p4, gens[1:] + [WeylElement.zero(p4)])
+    sigma = exp_der(d)
+    monkeypatch.setattr(automorphisms, "NILPOTENCE_CAP", 3)
+    assert exp_der(d) == sigma
+    assert log_aut(sigma).values == d.values
+    monkeypatch.setattr(automorphisms, "NILPOTENCE_CAP", 2)
+    with pytest.raises(CapExceededError) as exc:
+        exp_der(d)
+    assert str(exc.value) == "derivation is not nilpotent on x1 within cap 2"
+    with pytest.raises(CapExceededError) as exc:
+        log_aut(sigma)
+    assert str(exc.value) == "(s - id) is not nilpotent on x1 within cap 2"
 
 
 def test_derivation_validation_and_scaling():

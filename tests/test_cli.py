@@ -464,6 +464,10 @@ INPUT_CHECKS = {
         "", 1, "ERROR relation: [s(x3),s(x4)] != 0"),
     "not-central": (["verify", "--n", "1", "--m", "1", "--aut", "x1 -> x1; x2 -> x2; x3 -> x3 + x1"],
                     "", 1, "ERROR relation: s(x3) not central"),
+    "exp-not-nilpotent": (["exp-der", "--n", "0", "--m", "1", "--der", "x1 -> x1"], "", 1,
+                          "ERROR cap: derivation is not nilpotent on x1 within cap 256"),
+    "log-not-unipotent": (["log-aut", "--n", "0", "--m", "1", "--aut", "x1 -> 2*x1"], "", 1,
+                          "ERROR cap: (s - id) is not nilpotent on x1 within cap 256"),
 }
 
 

@@ -34,10 +34,14 @@ from support import (
 
 
 def _per_piece_oracle(combo, a):
-    """sum_k c_k * D_k(a), each product by single swaps."""
+    """sum_k c_k * D_k(a), each product by single swaps; a nested
+    combination is summed the same way, never by its fused ``apply``."""
     total: dict = {}
     for coeff, deriv in combo.parts:
-        piece = deriv.apply(a)
+        if isinstance(deriv, CombinationDerivation):
+            piece = _per_piece_oracle(deriv, a)
+        else:
+            piece = deriv.apply(a)
         if isinstance(coeff, WeylElement):
             terms = oracle_mul_terms(coeff, piece)
         else:
@@ -80,12 +84,14 @@ def test_twisted_partials_of_tame_maps_equal_the_per_piece_sum():
     assert fused >= len(maps) * 2
 
 
-def test_the_a11_central_direction_carries_an_inner_part_and_falls_back():
+def test_the_a11_central_direction_fuses_its_partials_beside_an_inner_part():
+    # ad(u) + sum_l c_l d_l, nested as a Derivation's descriptor
     rng = Random(932)
     aut = verified_map(*MAP_A11)
     (combo,) = _combinations(aut)
-    assert any(isinstance(d, InnerDerivation) for _, d in combo.parts)
-    assert combo._fused is None
+    (one, inner), (other, partials) = combo.parts
+    assert one == other == 1 and isinstance(inner, InnerDerivation)
+    assert combo._fused is None and partials._fused is not None
     for a in list(aut.images) + [random_weyl(rng, aut.signature, 3, 4) for _ in range(4)]:
         assert combo.apply(a) == _per_piece_oracle(combo, a)
 

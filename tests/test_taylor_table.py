@@ -133,6 +133,43 @@ def test_each_table_entry_is_derived_once_and_phi_is_not_called(name, monkeypatc
         assert len(calls) == walk
 
 
+# derive calls of phi, psi (over the generators and two drawn elements) and
+# of a checked build, per system: each walks its columns d_i^k once
+DERIVE_COUNTS = {
+    "Laurent P_2, unit x2": (9, 9, 5),
+    "standard A(1,1)": (20, 21, 39),
+    "standard A(2,1)": (35, 34, 155),
+    "standard F_2": (18, 19, 14),
+    "standard P_3": (22, 21, 39),
+    "twisted A(1,1)": (49, 49, 51),
+    "twisted A(2,0)": (44, 50, 92),
+    "twisted Nagata": (31, 28, 51),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_phi_psi_and_a_checked_build_keep_their_derive_counts(name, monkeypatch):
+    system, elements = _elements(name, count=2)
+    calls = []
+    derive = LndSystem.derive
+
+    def counted(self, i, a):
+        calls.append(i)
+        return derive(self, i, a)
+
+    monkeypatch.setattr(LndSystem, "derive", counted)
+    got = []
+    for project in (system.phi, system.psi):
+        calls.clear()
+        for a in elements:
+            project(a)
+        got.append(len(calls))
+    calls.clear()
+    LndSystem(list(system.derivations), list(system.slices))
+    got.append(len(calls))
+    assert tuple(got) == DERIVE_COUNTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_nilpotence_cap_below_and_at_the_order_raises_like_the_layer_walk(name):
     system, elements = _elements(name, count=2)
@@ -202,8 +239,9 @@ def _weyl_products(monkeypatch, system, elements):
 def test_taylor_decompose_folds_the_table_with_a_pinned_product_count(monkeypatch):
     # one fold per direction multiplies each entry by (-1)^k/k! t_j^k for
     # k = 1..g_j, each slice term formed once; the direct sum over beta of
-    # w_beta d^(alpha+beta) a forms about twice the products
-    for spec, count in ((NAGATA, 108), (MAP_A11, 75), (MAP_A20, 23)):
+    # w_beta d^(alpha+beta) a forms about twice the products (MAP_A11's central
+    # direction sums its cofactor partials in one dict beside ad(u))
+    for spec, count in ((NAGATA, 108), (MAP_A11, 66), (MAP_A20, 23)):
         system = twisted_unchecked(*spec)
         sig = WeylSignature(spec[0], spec[1])
         gens = [WeylElement.generator(sig, i) for i in range(sig.s)]

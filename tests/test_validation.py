@@ -105,6 +105,16 @@ def test_generator_probes_reject_what_the_old_probes_reject(name):
     assert _both(system) == (expected, expected)
 
 
+def test_a_nested_combination_needs_central_coefficients_too():
+    # ad(u) + sum_l c_l d_l nests its partials in a combination; the flat
+    # "non-central Weyl coefficient" system above, nested, is refused alike
+    x1, _, x3 = _weyl_gens(WeylSignature(1, 1))
+    inner = CombinationDerivation([(1, PartialDerivation(2)), (x1, PartialDerivation(1))])
+    system = LndSystem([CombinationDerivation([(1, inner)])], [x3], check=False)
+    with pytest.raises(LndError, match="combination coefficient is not central"):
+        system._validate()
+
+
 def _walk_fed(system, walk):
     """The walks of every generator's table (``walk`` is ``taylor_decompose``
     or ``_taylor_at_zero``), as ``invert`` runs them: the cap rule is their
