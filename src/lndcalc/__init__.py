@@ -16,7 +16,6 @@ from .automorphisms import (
     map_to_series,
     series_apply,
     twisted_partials,
-    twisted_system,
 )
 from .commpoly import CommPoly
 from .errors import (
@@ -33,7 +32,6 @@ from .invariants import (
     GeneratorWitness,
     enumerate_generators,
     graded_kernel_oracle,
-    relation_check,
     subalgebra_graded_dimension,
     weitzenboeck_closed_form,
     weitzenboeck_invariants,
@@ -104,12 +102,10 @@ __all__ = [
     "map_to_series",
     "parse_element",
     "parse_images",
-    "relation_check",
     "series_apply",
     "standard_system",
     "subalgebra_graded_dimension",
     "twisted_partials",
-    "twisted_system",
     "weitzenboeck_closed_form",
     "weitzenboeck_invariants",
     "weitzenboeck_system",

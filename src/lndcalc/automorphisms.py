@@ -77,6 +77,15 @@ def _arrow_text(images) -> str:
     return "; ".join(f"x{i + 1} -> {img}" for i, img in enumerate(images))
 
 
+def _checked_values(signature: WeylSignature, values, noun: str) -> tuple[WeylElement, ...]:
+    """The images or values, checked: one per generator, each over ``signature``."""
+    if len(values) != signature.s:
+        raise SignatureMismatchError(f"{len(values)} {noun}s for signature {signature}")
+    if any(v.signature != signature for v in values):
+        raise SignatureMismatchError(f"{noun} signature does not match")
+    return tuple(values)
+
+
 class Automorphism:
     """An automorphism of A(n, m), stored by its generator images.  Building
     one checks the defining relations, centrality of the central images and
@@ -85,15 +94,8 @@ class Automorphism:
     __slots__ = ("signature", "images", "delta")
 
     def __init__(self, signature: WeylSignature, images: list[WeylElement]):
-        if len(images) != signature.s:
-            raise SignatureMismatchError(
-                f"{len(images)} images for signature {signature}"
-            )
-        for img in images:
-            if img.signature != signature:
-                raise SignatureMismatchError("image signature does not match")
         self.signature = signature
-        self.images = tuple(images)
+        self.images = _checked_values(signature, images, "image")
         self.delta = _checked_delta(signature, self.images)
 
     @classmethod
@@ -184,19 +186,20 @@ def _central_minor(rows: list[list[WeylElement]], drop_row: int, drop_col: int) 
     return det(sub) if sub else WeylElement.one(rows[0][0].signature)
 
 
-def _integrate_weyl(system: LndSystem, targets: list[WeylElement]) -> WeylElement:
-    """Element u with ad(u)(t_k) = targets[k] for the 2n ad-direction system
-    (derivations ad(t_{n+i}), -ad(t_i); slices t_1..t_2n); unique up to a
-    central summand, normalized to have projection zero.
+def _integrate_weyl(system: LndSystem, stray: list[WeylElement]) -> WeylElement:
+    """Element u with ad(u)(t_k) = -stray[k] for the 2n ad-direction system
+    (derivations ad(t_{n+i}), -ad(t_i); slices t_1..t_2n), so that ad(u)
+    cancels a derivation whose values on the slices are ``stray``; unique up
+    to a central summand, normalized to have projection zero.
 
     Since ad(u)(t_{n+i}) = -ad(t_{n+i})(u) = -d'_i(u) and ad(u)(t_i) =
-    d'_{n+i}(u), the conditions read d'_i(u) = -targets[n+i] and
-    d'_{n+i}(u) = targets[i]; u is resummed from its Taylor coefficients
+    d'_{n+i}(u), the conditions read d'_i(u) = stray[n+i] and
+    d'_{n+i}(u) = -stray[i]; u is resummed from its Taylor coefficients
     over the system (each coefficient is central, so its placement in the
     monomial is immaterial)."""
     nn = system.s
     n = nn // 2
-    derived = [-targets[n + i] for i in range(n)] + [targets[i] for i in range(n)]
+    derived = [stray[n + i] for i in range(n)] + [-stray[i] for i in range(n)]
     u = system._zero
     for k in range(nn):
         if derived[k].is_zero():
@@ -243,15 +246,10 @@ def twisted_partials(aut: Automorphism) -> list[DerivationDescriptor]:
             if weyl_system is not None:
                 stray = [combo.apply(aut.images[k]) for k in range(2 * n)]
                 if any(not w.is_zero() for w in stray):
-                    u = _integrate_weyl(weyl_system, [-w for w in stray])
+                    u = _integrate_weyl(weyl_system, stray)
                     combo = CombinationDerivation([(1, InnerDerivation(u)), (1, combo)])
             out.append(combo)
     return out
-
-
-def twisted_system(aut: Automorphism) -> LndSystem:
-    """LndSystem with the twisted partials and slices s(x_1)..s(x_s)."""
-    return LndSystem(twisted_partials(aut), list(aut.images))
 
 
 def invert(aut: Automorphism) -> Automorphism:
@@ -294,15 +292,8 @@ class Derivation:
     __slots__ = ("signature", "values", "descriptor")
 
     def __init__(self, signature: WeylSignature, values: list[WeylElement]):
-        if len(values) != signature.s:
-            raise SignatureMismatchError(
-                f"{len(values)} values for signature {signature}"
-            )
-        for v in values:
-            if v.signature != signature:
-                raise SignatureMismatchError("value signature does not match")
         self.signature = signature
-        self.values = tuple(values)
+        self.values = _checked_values(signature, values, "value")
         self._validate()
         n = signature.n
         central = CombinationDerivation([(v, PartialDerivation(l)) for l, v in
@@ -335,9 +326,6 @@ class Derivation:
 
     def scale(self, factor: Fraction | int) -> Derivation:
         return Derivation(self.signature, [v * Fraction(factor) for v in self.values])
-
-    def __neg__(self) -> Derivation:
-        return self.scale(-1)
 
     def apply(self, a: WeylElement) -> WeylElement:
         if a.signature != self.signature:
@@ -390,21 +378,12 @@ def exp_der(deriv: Derivation) -> Automorphism:
 class DiffOpSeries(TaylorCoefficients):
     """A truncated series sum_alpha a_alpha d^alpha; absent indices read 0."""
 
-    __slots__ = ("signature", "max_order")
+    __slots__ = ("signature",)
     head, empty = "d^", "0"
 
-    def __init__(
-        self,
-        signature: WeylSignature,
-        max_order: int,
-        coeffs: dict[MultiIndex, WeylElement],
-    ):
+    def __init__(self, signature: WeylSignature, coeffs: dict[MultiIndex, WeylElement]):
         super().__init__(signature.s, coeffs)
-        for alpha in coeffs:
-            if sum(alpha) > max_order:
-                raise UsageError(f"coefficient at {tuple(alpha)} beyond max order {max_order}")
         self.signature = signature
-        self.max_order = max_order
 
     def __getitem__(self, alpha: MultiIndex) -> WeylElement:
         return self.coeffs.get(tuple(alpha), WeylElement.zero(self.signature))
@@ -422,7 +401,8 @@ def aut_to_series(aut: Automorphism, max_order: int) -> DiffOpSeries:
 
 def series_apply(series: DiffOpSeries, a: WeylElement) -> WeylElement:
     """sum_alpha a_alpha * d^alpha(a).  Exact on elements whose degree is at
-    most the truncation order of the series."""
+    most the order the series was solved to (``map_to_series``' max_order);
+    the series does not record that order."""
     if a.signature != series.signature:
         raise SignatureMismatchError("element signature does not match the series")
     total = WeylElement.zero(series.signature)
@@ -479,4 +459,4 @@ def map_to_series(
                 rhs = rhs + weyl_mul(a_beta, WeylElement._trusted(signature, minus_pd))
         if not rhs.is_zero():
             solved[alpha] = rhs * Fraction(1, fact)
-    return DiffOpSeries(signature, max_order, solved)
+    return DiffOpSeries(signature, solved)

@@ -45,7 +45,6 @@ from .errors import LndError, UsageError
 from .invariants import (
     enumerate_generators,
     graded_kernel_oracle,
-    relation_check,
     weitzenboeck_invariants,
 )
 from .parsing import (
@@ -215,7 +214,7 @@ def _cmd_map_series(args) -> str:
 def _cmd_apply_series(args) -> str:
     sig = _signature_from(args)
     coeffs = _read_indexed_lines(sys.stdin, sig, series=True)
-    series = DiffOpSeries(sig, max((sum(a) for a in coeffs), default=0), coeffs)
+    series = DiffOpSeries(sig, coeffs)
     element = parse_element(args.expr, WeylCarrier(sig))
     return str(series_apply(series, element))
 
@@ -236,7 +235,7 @@ def _cmd_invariants(args) -> str:
 def _cmd_relation(args) -> str:
     carrier = _carrier_from(args)
     system = standard_system(carrier.constant(1), args.cap)
-    return "true" if relation_check(system, parse_element(args.expr, carrier)) else "false"
+    return "true" if system.phi(parse_element(args.expr, carrier)).is_zero() else "false"
 
 
 def _cmd_kernel(args) -> str:
@@ -324,12 +323,22 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token with a single leading '-' other than -h as an argument, so
+    an expression may start with a minus sign (every option is -h or --name)."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser(selected: str | None) -> argparse.ArgumentParser:
     """The parser of every subcommand name; only ``selected`` gets its
     arguments and ``-h``, or every subcommand when ``selected`` is None.
     The other names are bare parsers: registered for usage, help and
     ``invalid choice``, never parsing."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lndcalc",
         description="Exact calculator for algebras with commuting locally "
         "nilpotent derivations: projections, Taylor decompositions, "

@@ -52,10 +52,6 @@ class FreeElement(SparseElement):
     def algebra(self) -> str:
         return f"F_{self.num_gens}"
 
-    @classmethod
-    def word(cls, num_gens: int, letters: Word, coeff: Scalar = 1) -> FreeElement:
-        return cls.monomial(num_gens, letters, coeff)
-
     def is_central(self) -> bool:
         """Constants only: the centre of F_k for k >= 2, applied for every k."""
         return self.is_constant()

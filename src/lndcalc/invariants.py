@@ -15,7 +15,8 @@ first one taken stays), and checks kernel membership of everything it returns.
 
 ``graded_kernel_oracle`` independently computes the joint kernel on a single
 homogeneous component by exact linear algebra, which is what the enumeration
-is tested against.
+is tested against; it and ``subalgebra_graded_dimension`` write their values
+as one coordinate matrix (``_columns``).
 """
 
 from __future__ import annotations
@@ -91,11 +92,11 @@ def enumerate_generators(
         seen.add(value)
         witnesses.append(GeneratorWitness(kind, word, alpha, source, value))
 
-    def extend_by_words(kind: str, alpha, source: int, base: Element, max_len: int, min_len: int):
-        level = [((), base)]
-        if min_len == 0:
+    def extend_by_words(kind: str, alpha, source: int, base: Element):
+        if kind == "z":  # a slice itself is no invariant
             push(kind, (), alpha, source, base)
-        for length in range(1, max_len + 1):
+        level = [((), base)]
+        for _ in range(word_bound):
             nxt = []
             for word, val in level:
                 for k in range(s):
@@ -104,47 +105,31 @@ def enumerate_generators(
                         continue
                     new_word = (k,) + word
                     nxt.append((new_word, new_val))
-                    if length >= min_len:
-                        push(kind, new_word, alpha, source, new_val)
+                    push(kind, new_word, alpha, source, new_val)
             level = nxt
 
     for idx, y in enumerate(generators):
         if y.is_zero():
             raise UsageError("generators must be nonzero")
         for alpha, base in sorted(system.taylor_decompose(y).coeffs.items()):
-            extend_by_words("z", alpha, idx, base, word_bound, 0)
+            extend_by_words("z", alpha, idx, base)
     for j, t in enumerate(system.slices):
-        extend_by_words("x", None, j, t, word_bound, 1)
+        extend_by_words("x", None, j, t)
     witnesses.sort(key=_sort_key)
     return witnesses
-
-
-def relation_check(system: LndSystem, candidate: Element) -> bool:
-    """True when phi(candidate) = 0: membership in the slice ideal on a
-    commutative carrier, in general only in sum_(alpha != 0) t^alpha A^d."""
-    return system.phi(candidate).is_zero()
 
 
 # -- brute-force graded kernel ------------------------------------------------
 
 
-def _coordinates(values: list[Element]) -> tuple[list[dict], list]:
+def _columns(values: list[Element]) -> list[list[Fraction]]:
+    """Coordinate matrix of the values: one dense row per monomial that
+    occurs in them (in key order), one column per value."""
     keys = sorted({k for v in values for k in v.terms})
-    return [v.terms for v in values], keys
-
-
-def _image_rows(images: list[Element], degree: int) -> list[list[Fraction]]:
-    """Coordinate rows (one per image monomial, one column per image) of a
-    derivation's images of the degree-d monomials, which must be homogeneous
-    of degree d - 1."""
-    for img in images:
-        if not img.degrees() <= {degree - 1}:
-            raise UsageError("derivation is not homogeneous of degree -1 on the component")
-    terms, keys = _coordinates(images)
     index = {k: r for r, k in enumerate(keys)}
-    block = [[Fraction(0)] * len(images) for _ in keys]
-    for col, t in enumerate(terms):
-        for k, c in t.items():
+    block = [[Fraction(0)] * len(values) for _ in keys]
+    for col, v in enumerate(values):
+        for k, c in v.terms.items():
             block[index[k]][col] = c
     return block
 
@@ -162,7 +147,10 @@ def graded_kernel_oracle(system: LndSystem, degree: int) -> list[Element]:
     monomials = one.homogeneous_keys(degree)
     rows: list[list[Fraction]] = []
     for i in range(system.s):
-        rows.extend(_image_rows([system.derive(i, one.like({key: 1})) for key in monomials], degree))
+        images = [system.derive(i, one.like({key: 1})) for key in monomials]
+        if any(not img.degrees() <= {degree - 1} for img in images):
+            raise UsageError("derivation is not homogeneous of degree -1 on the component")
+        rows.extend(_columns(images))
     vectors = nullspace(rows, len(monomials))
     return [one.like({key: c for key, c in zip(monomials, vec) if c}) for vec in vectors]
 
@@ -201,15 +189,8 @@ def subalgebra_graded_dimension(values: list[Element], degree: int) -> int:
         frontier = nxt
     if not bucket:
         return 0
-    terms, keys = _coordinates(bucket)
-    index = {k: c for c, k in enumerate(keys)}
-    rows = []
-    for t in terms:
-        row = [Fraction(0)] * len(keys)
-        for k, c in t.items():
-            row[index[k]] = c
-        rows.append(row)
-    return rank(rows)
+    # rank of the transposed coordinate matrix, which has the same rank
+    return rank(_columns(bucket))
 
 
 # -- the Weitzenboeck construction --------------------------------------------

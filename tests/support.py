@@ -107,7 +107,7 @@ def random_free(
         word = tuple(
             rng.randrange(num_gens) for _ in range(rng.randint(0, length))
         )
-        out = out + FreeElement.word(num_gens, word, random_fraction(rng))
+        out = out + FreeElement.monomial(num_gens, word, random_fraction(rng))
     return out
 
 

@@ -30,7 +30,6 @@ from lndcalc import (
     parse_images,
     series_apply,
     twisted_partials,
-    twisted_system,
 )
 from lndcalc import automorphisms, weyl
 from lndcalc.multiindex import iter_upto
@@ -229,7 +228,7 @@ def test_twisted_partials_commute_pairwise():
 
 def test_twisted_system_is_a_valid_lnd_system():
     sigma = _aut(A10, "x1 -> x1; x2 -> x2 + x1^2")
-    system = twisted_system(sigma)
+    system = LndSystem(twisted_partials(sigma), list(sigma.images))
     assert system.s == 2
     assert system.slices == sigma.images
     # the slices are the twisted coordinates: they project to zero, constants
@@ -316,6 +315,20 @@ def test_a_non_automorphism_cannot_be_built(sig, text, error, message):
         with pytest.raises(error) as info:
             build(sig, images)
         assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("build, sig, message", [
+    (Automorphism, A10, "1 images for signature A(1,0)"),
+    (Automorphism, P1, "image signature does not match"),
+    (Derivation, A10, "1 values for signature A(1,0)"),
+    (Derivation, P1, "value signature does not match"),
+], ids=["image-count", "image-signature", "value-count", "value-signature"])
+def test_generator_values_are_counted_and_signature_checked(build, sig, message):
+    # one value per generator of sig, each over sig: [x1 of A(1,0)] fails the
+    # count on A(1,0) and the signature on A(0,1)
+    with pytest.raises(SignatureMismatchError) as info:
+        build(sig, [WeylElement.generator(A10, 0)])
+    assert str(info.value) == message
 
 
 def test_a_stretch_of_p1_is_checked_with_its_delta():
@@ -507,7 +520,7 @@ def _fact(k):
 
 
 def test_series_apply_examples():
-    one = DiffOpSeries(P1, 0, {(0,): WeylElement.one(P1)})
+    one = DiffOpSeries(P1, {(0,): WeylElement.one(P1)})
     rng = Random(507)
     for _ in range(5):
         a = random_weyl(rng, P1, 4, 3)
@@ -609,5 +622,5 @@ def test_series_text_form():
         "d^(1,1): x1\n"
         "d^(2,0): 1/2"
     )
-    empty = DiffOpSeries(P1, 0, {})
+    empty = DiffOpSeries(P1, {})
     assert str(empty) == "0"

@@ -89,7 +89,7 @@ def _free(k: int) -> Spec:
         one=lambda: FreeElement.one(k),
         constant=lambda v: FreeElement.constant(k, v),
         gen=lambda i: FreeElement.generator(k, i),
-        mono=lambda w, c: FreeElement.word(k, w, c),
+        mono=lambda w, c: FreeElement.monomial(k, w, c),
         key=lambda rng: tuple(rng.randrange(k) for _ in range(rng.randint(0, 3))),
         const_key=(),
         gen_key=lambda i: (i,),

@@ -309,14 +309,18 @@ def test_syntax_errors_exit_2(capsys):
     assert out.startswith("ERROR syntax:")
 
 
-def test_a_leading_minus_needs_a_double_dash(capsys):
-    # argparse reads "-x1^2" as an option, so the second operand goes missing
-    code = main(["mul", "--poly", "1", "-x1^2", "1"])
+def test_an_expression_may_start_with_a_minus(capsys):
+    # a token with a single leading '-' other than -h is an argument; the
+    # double-dash and leading-space forms still read the same
+    for argv in (["mul", "--poly", "1", "-x1^2", "1"],
+                 ["mul", "--poly", "1", "--", "-x1^2", "1"],
+                 ["mul", "--poly", "1", " -x1^2", "1"]):
+        assert run(capsys, argv) == (0, "-x1^2\n")
+    # so an option's value may be such a token too, and is checked as one
+    code = main(["taylor", "--poly", "1", "--cap", "-x", "x1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.endswith("error: the following arguments are required: b\n")
-    assert run(capsys, ["mul", "--poly", "1", "--", "-x1^2", "1"]) == (0, "-x1^2\n")
-    assert run(capsys, ["mul", "--poly", "1", " -x1^2", "1"]) == (0, "-x1^2\n")
+    assert captured.err.endswith("error: argument --cap: invalid int value: '-x'\n")
 
 
 def test_carrier_selection_is_mandatory_and_exclusive(capsys):
@@ -447,6 +451,13 @@ INPUT_CHECKS = {
                      "ERROR usage: multi-index '0' given twice"),
     # the empty series prints as "0", and reads back as the zero series
     "series-empty": (["apply-series", "--n", "0", "--m", "1", "x1"], "0\n", 0, "0"),
+    "leading-minus": (["mul", "--poly", "1", "-x1^2", "1"], "", 0, "-x1^2"),
+    "leading-minus-after-option": (["partial", "--poly", "1", "--i", "1", "-x1^2"], "", 0,
+                                   "-2*x1"),
+    "leading-minus-twice": (["mul", "--poly", "1", "-1/2", "-x1"], "", 0, "1/2*x1"),
+    # the offset counts from the first character typed, the minus sign
+    "leading-minus-syntax": (["taylor", "--poly", "1", "-x1^"], "", 2,
+                             "ERROR syntax: expected an integer exponent (at offset 4)"),
     "slash": (["mul", "--poly", "1", "1/", "x1"], "", 2,
               "ERROR syntax: expected digits after '/' (at offset 2)"),
     "x0": (["mul", "--poly", "1", "x0", "x1"], "", 2,

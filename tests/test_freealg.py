@@ -20,7 +20,7 @@ def _gen(i, num_gens=2):
 
 
 def test_mul_examples():
-    assert _gen(0) * _gen(1) == FreeElement.word(2, (0, 1))
+    assert _gen(0) * _gen(1) == FreeElement.monomial(2, (0, 1))
     a = parse_element("x1*x2*x1 + 3", FreeCarrier(2))
     assert FreeElement.one(2) * a == a
     lhs = parse_element("x1 + x2", FreeCarrier(2)) * parse_element("x1 - x2", FreeCarrier(2))
@@ -70,7 +70,7 @@ def test_partials_are_locally_nilpotent():
     rng = Random(303)
     for _ in range(20):
         length = rng.randint(0, 6)
-        word = FreeElement.word(2, tuple(rng.randrange(2) for _ in range(length)))
+        word = FreeElement.monomial(2, tuple(rng.randrange(2) for _ in range(length)))
         for i in range(2):
             out = word
             for _ in range(length + 1):

@@ -22,7 +22,6 @@ from lndcalc import (
     log_aut,
     parse_element,
     parse_images,
-    relation_check,
     standard_system,
     subalgebra_graded_dimension,
     weitzenboeck_closed_form,
@@ -105,12 +104,12 @@ def test_commutative_full_slice_witnesses_are_constant():
 
 def test_relation_check_examples():
     system = _f2_system()
-    assert relation_check(system, FreeElement.zero(2))
+    assert system.phi(FreeElement.zero(2)).is_zero()
     commutator = parse_element(COMMUTATOR, FreeCarrier(2))
     syntactic_duplicate = commutator * commutator - commutator ** 2
     assert syntactic_duplicate.is_zero()
-    assert relation_check(system, syntactic_duplicate)
-    assert not relation_check(system, commutator)
+    assert system.phi(syntactic_duplicate).is_zero()
+    assert not system.phi(commutator).is_zero()
 
 
 def test_relation_check_matches_the_constant_taylor_coefficient():
@@ -122,7 +121,7 @@ def test_relation_check_matches_the_constant_taylor_coefficient():
         a = random_free(rng, 2, 4, 3)
         coeffs = system.taylor_decompose(a)
         zero_coeff = coeffs.coeffs.get((0, 0))
-        assert relation_check(system, a) == (zero_coeff is None)
+        assert system.phi(a).is_zero() == (zero_coeff is None)
 
 
 # -- graded kernel oracle ----------------------------------------------------------
@@ -207,14 +206,19 @@ def test_oracle_p2_single_direction():
 
 
 def test_oracle_rejects_inhomogeneous_directions():
+    # d = d1 + x1 d2 on P_2 maps x2 to x1 (degree 1, not 0) and x2^2 to
+    # 2*x1*x2; on the degree-0 component every image is zero
     x1 = CommPoly.variable(2, 0)
     d = CombinationDerivation([
         (Fraction(1), PartialDerivation(0)),
         (x1, PartialDerivation(1)),
     ])
     system = LndSystem([d], [x1])
-    with pytest.raises(UsageError):
-        graded_kernel_oracle(system, 1)
+    for degree in (1, 2):
+        with pytest.raises(UsageError) as info:
+            graded_kernel_oracle(system, degree)
+        assert str(info.value) == "derivation is not homogeneous of degree -1 on the component"
+    assert graded_kernel_oracle(system, 0) == [CommPoly.constant(2, 1)]
 
 
 # -- subalgebra dimensions vs oracle ------------------------------------------------

@@ -27,8 +27,8 @@ EXAMPLES = _examples()
 PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
 
 
-def test_the_readme_has_its_fourteen_examples():
-    assert len(EXAMPLES) == 14
+def test_the_readme_has_its_fifteen_examples():
+    assert len(EXAMPLES) == 15
 
 
 @pytest.mark.parametrize("command, printed", EXAMPLES, ids=[c for c, _ in EXAMPLES])

@@ -18,7 +18,6 @@ from lndcalc import (
     invert,
     standard_system,
     twisted_partials,
-    twisted_system,
 )
 from lndcalc import weyl
 from oracle_taylor import layers
@@ -275,7 +274,7 @@ def test_stretch_inversion_still_exceeds_the_degree_cap():
 def test_twisted_system_coefficients_invert_the_map():
     # the constant coefficients of the generators are the inverse images
     aut = verified_map(*MAP_A11)
-    system = twisted_system(aut)
+    system = LndSystem(twisted_partials(aut), list(aut.images))
     inverse = invert(aut)
     for i in range(A11.s):
         coeffs = system.taylor_decompose(WeylElement.generator(A11, i))
