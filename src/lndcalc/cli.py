@@ -4,7 +4,11 @@ Every operation of the library is exposed as a batch subcommand reading
 expressions from flags/arguments (and tables from stdin) and writing the
 canonical text form to stdout.  Exit status: 0 success, 1 domain errors
 (failed relation, zero Jacobian, cap exceeded, ...), 2 usage or syntax
-errors.  Errors print a single line "ERROR <code>: <message>".
+errors.  Any refused input prints one line "ERROR <code>: <message>", never
+a traceback.  ``--out FILE`` is written before stdout; if it cannot be, that
+usage error is all that is printed.  A number past the integer-text limit
+(4300 digits by default; PYTHONINTMAXSTRDIGITS=0 lifts it) is a syntax
+error on input and a cap error on output.
 
 Carrier selection (exactly one):
     --n N --m M   the algebra A(N,M) on 2N+M generators (N=0 gives plain
@@ -41,7 +45,7 @@ from .automorphisms import (
     map_to_series,
     series_apply,
 )
-from .errors import LndError, UsageError
+from .errors import LndError, ParseError, UsageError
 from .invariants import (
     enumerate_generators,
     graded_kernel_oracle,
@@ -51,6 +55,7 @@ from .parsing import (
     CommCarrier,
     FreeCarrier,
     WeylCarrier,
+    decimal,
     parse_element,
     parse_images,
     parse_list,
@@ -65,9 +70,10 @@ def _parse_laurent(text: str, num_vars: int) -> frozenset[int]:
     mask = set()
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
-            raise UsageError(f"bad --laurent entry {piece!r}; use 1-based indices")
-        idx = int(piece)
+        try:
+            idx = decimal(piece)
+        except ParseError:
+            raise UsageError(f"bad --laurent entry {piece!r}; use 1-based indices") from None
         if not 1 <= idx <= num_vars:
             raise UsageError(f"--laurent index {idx} out of range 1..{num_vars}")
         mask.add(idx - 1)
@@ -372,10 +378,14 @@ def main(argv: list[str] | None = None) -> int:
     except LndError as exc:
         text = f"ERROR {exc.code}: {exc}"
         status = 2 if exc.code in ("usage", "syntax") else 1
-    print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            text = f"ERROR usage: cannot write --out file {args.out}: {exc.strerror or exc}"
+            status = 2
+    print(text)
     return status
 
 

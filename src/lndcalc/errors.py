@@ -27,7 +27,7 @@ class UsageError(LndError):
 
 
 class ParseError(LndError):
-    """Syntax error in an input expression; ``offset`` is a byte offset."""
+    """Syntax error in an input expression; ``offset`` is a character offset."""
 
     code = "syntax"
 

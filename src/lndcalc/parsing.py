@@ -1,6 +1,6 @@
 """Text input for carrier elements and generator-image lists.
 
-Grammar (whitespace insensitive, offsets are 0-based byte positions):
+Grammar (whitespace insensitive, offsets are 0-based character positions):
 
     expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
@@ -8,6 +8,12 @@ Grammar (whitespace insensitive, offsets are 0-based byte positions):
     atom    := number | variable | '(' expr ')' | '-' factor
     number  := digits ['/' digits]
     variable:= 'x' digits          (1-based)
+
+The tokens are the alternatives of ``_TOKEN``.  Digits are the decimal digits
+``int`` reads ("x1²" has an unexpected character).  A digit run past the
+integer-text limit (``sys.get_int_max_str_digits()``, 4300 unless
+PYTHONINTMAXSTRDIGITS sets it, 0 for none) and '(' or unary '-' nested deeper
+than ``MAX_NESTING`` are syntax errors.
 
 Juxtaposition is rejected ("2x1" needs the explicit '*').  Variables are
 written 1-based on the wire and converted to 0-based indices internally.
@@ -17,6 +23,8 @@ assigned exactly once.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,14 +33,14 @@ from .errors import LndError, ParseError, UsageError
 from .freealg import FreeElement
 from .weyl import WeylElement, WeylSignature
 
-_SIMPLE = {
-    "+": "PLUS",
-    "*": "STAR",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ";": "SEMI",
-}
+MAX_NESTING = 100
+
+# one alternative per token; the group that matched names the token's kind
+_TOKEN = re.compile(r"""
+    (?P<SPACE>\s+) | (?P<NUM>(?P<num>\d+)(?:/(?P<den>\d*))?) | x(?P<VAR>\d*) | (?P<ARROW>->)
+  | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<CARET>\^)
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<SEMI>;) | (?P<OTHER>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 class Token(NamedTuple):
@@ -42,60 +50,40 @@ class Token(NamedTuple):
     value: object = None
 
 
+def decimal(text: str, offset: int = 0) -> int:
+    """``int(text)`` of decimal digits (``str.isdecimal`` is the ``\\d`` of
+    ``_TOKEN``) within the integer-text limit, else a ParseError at ``offset``."""
+    if not text.isdecimal():
+        raise ParseError("expected decimal digits", offset=offset)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    if limit and len(text) > limit:
+        raise ParseError(f"number with more than {limit} digits", offset=offset)
+    return int(text)
+
+
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        kind, i, value = match.lastgroup, match.start(), None
+        if kind == "SPACE":
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            den = 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                if k >= n or not text[k].isdigit():
-                    raise ParseError("expected digits after '/'", offset=j + 1)
-                j = k
-                while j < n and text[j].isdigit():
-                    j += 1
-                den = int(text[k:j])
-                if den == 0:
-                    raise ParseError("zero denominator", offset=k)
-            out.append(Token("NUM", text[i:j], i, Fraction(num, den)))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
+        if kind == "OTHER":
+            raise ParseError(f"unexpected character {match[0]!r}", offset=i)
+        if kind == "NUM":
+            num, den, k = decimal(match["num"], i), match["den"], match.start("den")
+            if den == "":
+                raise ParseError("expected digits after '/'", offset=k)
+            if den is not None and not (den := decimal(den, k)):
+                raise ParseError("zero denominator", offset=k)
+            value = Fraction(num, den or 1)
+        elif kind == "VAR":
+            if not match["VAR"]:
                 raise ParseError("expected a variable index after 'x'", offset=i)
-            index = int(text[i + 1 : j])
-            if index < 1:
+            value = decimal(match["VAR"], i + 1) - 1
+            if value < 0:
                 raise ParseError("variable indices start at x1", offset=i)
-            out.append(Token("VAR", text[i:j], i, index - 1))
-            i = j
-            continue
-        if ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                out.append(Token("ARROW", "->", i))
-                i += 2
-                continue
-            out.append(Token("MINUS", "-", i))
-            i += 1
-            continue
-        if ch in _SIMPLE:
-            out.append(Token(_SIMPLE[ch], ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", offset=i)
-    out.append(Token("END", "", n))
+        out.append(Token(kind, match[0], i, value))
+    out.append(Token("END", "", len(text)))
     return out
 
 
@@ -147,6 +135,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], carrier: Carrier):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open '(' and unary '-', at most MAX_NESTING
         self.carrier = carrier
 
     def peek(self) -> Token:
@@ -158,88 +147,77 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", offset=tok.offset)
+        if self.peek().kind != kind:
+            raise ParseError(f"expected {what}", offset=self.peek().offset)
         return self.take()
+
+    def index(self, tok: Token) -> int:
+        """The 0-based index of a VAR token inside the carrier."""
+        if tok.value >= self.carrier.count:
+            raise ParseError(f"variable {tok.text} out of range (carrier has "
+                             f"{self.carrier.count} generators)", offset=tok.offset)
+        return tok.value
 
     def expr(self):
         node = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.take()
-            rhs = self.term()
-            node = node + rhs if op.kind == "PLUS" else node - rhs
+            plus = self.take().kind == "PLUS"
+            node = node + self.term() if plus else node - self.term()
         return node
 
     def term(self):
         node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "STAR":
-                self.take()
-                node = node * self.factor()
-            elif tok.kind in ("NUM", "VAR", "LPAREN"):
-                raise ParseError("missing '*' between factors", offset=tok.offset)
-            else:
-                return node
+        while (tok := self.peek()).kind == "STAR":
+            self.take()
+            node = node * self.factor()
+        if tok.kind in ("NUM", "VAR", "LPAREN"):
+            raise ParseError("missing '*' between factors", offset=tok.offset)
+        return node
 
     def factor(self):
         node = self.atom()
         if self.peek().kind == "CARET":
             self.take()
-            sign = 1
-            if self.peek().kind == "MINUS":
+            if negative := self.peek().kind == "MINUS":
                 self.take()
-                sign = -1
             tok = self.expect("NUM", "an integer exponent")
             if tok.value.denominator != 1:
                 raise ParseError("exponent must be an integer", offset=tok.offset)
             try:
-                node = node ** (sign * int(tok.value))
-            except LndError as exc:
-                if isinstance(exc, ParseError):
-                    raise
+                node = node ** (-int(tok.value) if negative else int(tok.value))
+            except LndError as exc:  # the carrier's refusal, at the exponent
                 raise ParseError(str(exc), offset=tok.offset) from None
         return node
 
     def atom(self):
-        tok = self.peek()
+        tok = self.take()
         if tok.kind == "NUM":
-            self.take()
             return self.carrier.constant(tok.value)
         if tok.kind == "VAR":
-            self.take()
-            if tok.value >= self.carrier.count:
-                raise ParseError(
-                    f"variable {tok.text} out of range (carrier has "
-                    f"{self.carrier.count} generators)",
-                    offset=tok.offset,
-                )
-            return self.carrier.variable(tok.value)
+            return self.carrier.variable(self.index(tok))
+        if tok.kind not in ("LPAREN", "MINUS"):
+            raise ParseError("expected a number, variable, or '('", offset=tok.offset)
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset=tok.offset)
+        self.depth += 1
+        node = -self.factor() if tok.kind == "MINUS" else self.expr()
         if tok.kind == "LPAREN":
-            self.take()
-            node = self.expr()
             self.expect("RPAREN", "')'")
-            return node
-        if tok.kind == "MINUS":
-            self.take()
-            return -self.factor()
-        raise ParseError("expected a number, variable, or '('", offset=tok.offset)
+        self.depth -= 1
+        return node
 
 
 def parse_element(text: str, carrier: Carrier):
     parser = _Parser(tokenize(text), carrier)
     node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "END":
+    if (tok := parser.peek()).kind != "END":
         raise ParseError("unexpected trailing input", offset=tok.offset)
     return node
 
 
 def parse_list(text: str, carrier: Carrier, name: str) -> list:
-    """Parse "expr; expr; ..." into its elements, offsets counted from the
-    start of ``text``; an empty ``text`` or entry is a UsageError naming
-    ``name``."""
+    """Parse "expr; expr; ..." into its elements (offsets from the start of
+    ``text``); an empty ``text`` or entry is a UsageError naming ``name``."""
     parser = _Parser(tokenize(text), carrier)
     if parser.peek().kind == "END":
         raise UsageError(f"{name} is empty")
@@ -262,23 +240,15 @@ def parse_images(text: str, carrier: Carrier) -> list:
     images: dict[int, object] = {}
     while True:
         var = parser.expect("VAR", "a generator on the left of '->'")
-        if var.value >= carrier.count:
-            raise ParseError(
-                f"variable {var.text} out of range (carrier has "
-                f"{carrier.count} generators)",
-                offset=var.offset,
-            )
-        if var.value in images:
+        if (index := parser.index(var)) in images:
             raise ParseError(f"image for {var.text} given twice", offset=var.offset)
         parser.expect("ARROW", "'->'")
-        images[var.value] = parser.expr()
-        tok = parser.peek()
-        if tok.kind == "SEMI":
-            parser.take()
-            continue
+        images[index] = parser.expr()
+        tok = parser.take()
         if tok.kind == "END":
             break
-        raise ParseError("expected ';' or end of input", offset=tok.offset)
+        if tok.kind != "SEMI":
+            raise ParseError("expected ';' or end of input", offset=tok.offset)
     for i in range(carrier.count):
         if i not in images:
             raise ParseError(f"missing image for x{i + 1}", offset=len(text))

@@ -394,6 +394,14 @@ def test_out_flag_writes_the_same_text(capsys, tmp_path):
     assert target.read_text() == "x1^2\n"
 
 
+def test_an_out_file_that_cannot_be_written_is_all_that_is_printed(capsys, tmp_path):
+    target = tmp_path / "missing" / "result.txt"
+    code, out = run(capsys, ["mul", "--poly", "1", "--out", str(target), "x1", "x1"])
+    assert (code, out) == (
+        2, f"ERROR usage: cannot write --out file {target}: No such file or directory\n")
+    assert not target.parent.exists()
+
+
 def test_cap_flag_is_honored(capsys):
     code, out = run(capsys, ["project", "--poly", "2", "--cap", "64", "x1^3"])
     assert (code, out) == (0, "0\n")
@@ -479,6 +487,24 @@ INPUT_CHECKS = {
                           "ERROR cap: derivation is not nilpotent on x1 within cap 256"),
     "log-not-unipotent": (["log-aut", "--n", "0", "--m", "1", "--aut", "x1 -> 2*x1"], "", 1,
                           "ERROR cap: (s - id) is not nilpotent on x1 within cap 256"),
+    # digits are the decimal digits int reads; runs and coefficients stop at
+    # the interpreter's integer-text limit (4300 digits by default)
+    "superscript-digit": (["mul", "--poly", "1", "x1²", "1"], "", 2,
+                          "ERROR syntax: unexpected character '²' (at offset 2)"),
+    "long-number": (["mul", "--poly", "1", "1" * 5000, "1"], "", 2,
+                    "ERROR syntax: number with more than 4300 digits (at offset 0)"),
+    "long-coefficient": (["mul", "--poly", "1", "2^15000", "1"], "", 1,
+                         "ERROR cap: a coefficient has more than 4300 digits; "
+                         "PYTHONINTMAXSTRDIGITS=0 lifts the limit"),
+    "nesting": (["mul", "--poly", "1", "(" * 300 + "x1" + ")" * 300, "1"], "", 2,
+                "ERROR syntax: nesting deeper than 100 levels (at offset 100)"),
+    "laurent-superscript": (["mul", "--poly", "2", "--laurent", "²", "x1", "x1"], "", 2,
+                            "ERROR usage: bad --laurent entry '²'; use 1-based indices"),
+    "laurent-long": (["mul", "--poly", "2", "--laurent", "0" * 4300 + "1", "x1", "x1"], "", 2,
+                     f"ERROR usage: bad --laurent entry '{'0' * 4300}1'; use 1-based indices"),
+    # the file is written first: when it cannot be, nothing else is printed
+    "out-directory": (["mul", "--poly", "1", "x1", "x1", "--out", "."], "", 2,
+                      "ERROR usage: cannot write --out file .: Is a directory"),
 }
 
 

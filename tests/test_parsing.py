@@ -29,6 +29,10 @@ def test_tokenizer_records_offsets():
                      ("VAR", 9), ("END", 12)]
     assert tokens[2].value == Fraction(3, 2)
     assert tokens[4].value == 11  # x12 -> 0-based index
+    assert [tuple(t) for t in tokenize(" x01->-1/2\t;")] == [
+        ("VAR", "x01", 1, 0), ("ARROW", "->", 4, None), ("MINUS", "-", 6, None),
+        ("NUM", "1/2", 7, Fraction(1, 2)), ("SEMI", ";", 11, None), ("END", "", 12, None),
+    ]
 
 
 def test_precedence_and_grouping():

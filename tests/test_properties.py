@@ -1,7 +1,7 @@
 """Property tests on generated tame automorphisms of P_m and of A(n, m)
 (inverses, exp/log, operator series), on generated derivations of A(n, m),
-and print-then-parse on generated elements of all three carriers (needs
-hypothesis; skipped without it).
+print-then-parse on generated elements of all three carriers, and the
+tokenizer and parser on any text (needs hypothesis; skipped without it).
 Examples are derandomized and few, so the run is fixed and short."""
 
 import contextlib
@@ -20,7 +20,9 @@ from lndcalc import (  # noqa: E402
     Derivation,
     FreeCarrier,
     JacobianError,
+    LndError,
     LndSystem,
+    ParseError,
     WeylCarrier,
     WeylElement,
     WeylSignature,
@@ -35,6 +37,7 @@ from lndcalc import (  # noqa: E402
     twisted_partials,
 )
 from lndcalc.cli import main  # noqa: E402
+from lndcalc.parsing import tokenize  # noqa: E402
 from oracle_derivation import leibniz_apply  # noqa: E402
 from oracle_validate import validate as oracle_validate  # noqa: E402
 from support import tame_poly_map  # noqa: E402
@@ -334,3 +337,32 @@ def test_print_then_parse_is_the_identity_and_reprints_byte_for_byte(case):
     back = parse_element(text, carrier)
     assert back == a
     assert str(back) == text
+
+
+# -- any text: tokens or a ParseError, an element or an LndError ----------------
+
+# pieces of right and wrong text; an exponent is one digit set apart by a
+# space, so no power reaches 10 (unbounded exponents are ROADMAP item 8)
+TEXT_PIECES = ("x1", "x2", "x3", "x12", "x0", "x", "0", "7", "12", "2/3", "1/0", "1/",
+               "/", "->", " ", "(", ")", "-", "+", "*", ";", "x²", "٣", "@",
+               "^-1 ", "^") + tuple(f"^{e} " for e in range(10))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.text())
+def test_tokenize_gives_tokens_or_a_parse_error_on_any_text(text):
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return
+    assert tokens[-1] == ("END", "", len(text), None)
+    assert "".join(t.text for t in tokens) == "".join(text.split())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(PRINT_CARRIERS), st.lists(st.sampled_from(TEXT_PIECES), max_size=8))
+def test_parse_element_gives_an_element_or_a_library_error(carrier, pieces):
+    try:
+        parse_element("".join(pieces), carrier)
+    except LndError:
+        pass
