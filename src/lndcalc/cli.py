@@ -72,7 +72,9 @@ def _parse_laurent(text: str, num_vars: int) -> frozenset[int]:
         piece = piece.strip()
         try:
             idx = decimal(piece)
-        except ParseError:
+        except ParseError as exc:
+            if piece.isdecimal():  # past the integer-text limit
+                raise UsageError(f"bad --laurent entry: {exc.message}") from None
             raise UsageError(f"bad --laurent entry {piece!r}; use 1-based indices") from None
         if not 1 <= idx <= num_vars:
             raise UsageError(f"--laurent index {idx} out of range 1..{num_vars}")

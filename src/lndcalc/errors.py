@@ -33,6 +33,7 @@ class ParseError(LndError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
+        self.message = message
         self.offset = offset
 
 

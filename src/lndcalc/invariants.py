@@ -208,7 +208,7 @@ def weitzenboeck_system(n: int) -> LndSystem:
     )
     slice_exps = (-1, 1) + (0,) * (n - 2)
     slice_elem = CommPoly.monomial(n, slice_exps, 1, mask)
-    return LndSystem([deriv], [slice_elem], check=False)  # valid by construction
+    return LndSystem([deriv], [slice_elem])
 
 
 def weitzenboeck_closed_form(n: int, i: int) -> CommPoly:

@@ -147,8 +147,9 @@ class _Parser:
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
-        if self.peek().kind != kind:
-            raise ParseError(f"expected {what}", offset=self.peek().offset)
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}", offset=tok.offset)
         return self.take()
 
     def index(self, tok: Token) -> int:
@@ -161,30 +162,36 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek().kind in ("PLUS", "MINUS"):
-            plus = self.take().kind == "PLUS"
-            node = node + self.term() if plus else node - self.term()
+            op = self.take()
+            rhs = self.term()
+            node = node + rhs if op.kind == "PLUS" else node - rhs
         return node
 
     def term(self):
         node = self.factor()
-        while (tok := self.peek()).kind == "STAR":
-            self.take()
-            node = node * self.factor()
-        if tok.kind in ("NUM", "VAR", "LPAREN"):
-            raise ParseError("missing '*' between factors", offset=tok.offset)
-        return node
+        while True:
+            tok = self.peek()
+            if tok.kind == "STAR":
+                self.take()
+                node = node * self.factor()
+            elif tok.kind in ("NUM", "VAR", "LPAREN"):
+                raise ParseError("missing '*' between factors", offset=tok.offset)
+            else:
+                return node
 
     def factor(self):
         node = self.atom()
         if self.peek().kind == "CARET":
             self.take()
-            if negative := self.peek().kind == "MINUS":
+            sign = 1
+            if self.peek().kind == "MINUS":
                 self.take()
+                sign = -1
             tok = self.expect("NUM", "an integer exponent")
             if tok.value.denominator != 1:
                 raise ParseError("exponent must be an integer", offset=tok.offset)
             try:
-                node = node ** (-int(tok.value) if negative else int(tok.value))
+                node = node ** (sign * int(tok.value))
             except LndError as exc:  # the carrier's refusal, at the exponent
                 raise ParseError(str(exc), offset=tok.offset) from None
         return node
@@ -210,14 +217,16 @@ class _Parser:
 def parse_element(text: str, carrier: Carrier):
     parser = _Parser(tokenize(text), carrier)
     node = parser.expr()
-    if (tok := parser.peek()).kind != "END":
+    tok = parser.peek()
+    if tok.kind != "END":
         raise ParseError("unexpected trailing input", offset=tok.offset)
     return node
 
 
 def parse_list(text: str, carrier: Carrier, name: str) -> list:
-    """Parse "expr; expr; ..." into its elements (offsets from the start of
-    ``text``); an empty ``text`` or entry is a UsageError naming ``name``."""
+    """Parse "expr; expr; ..." into its elements, offsets counted from the
+    start of ``text``; an empty ``text`` or entry is a UsageError naming
+    ``name``."""
     parser = _Parser(tokenize(text), carrier)
     if parser.peek().kind == "END":
         raise UsageError(f"{name} is empty")
@@ -240,15 +249,18 @@ def parse_images(text: str, carrier: Carrier) -> list:
     images: dict[int, object] = {}
     while True:
         var = parser.expect("VAR", "a generator on the left of '->'")
-        if (index := parser.index(var)) in images:
+        index = parser.index(var)
+        if index in images:
             raise ParseError(f"image for {var.text} given twice", offset=var.offset)
         parser.expect("ARROW", "'->'")
         images[index] = parser.expr()
-        tok = parser.take()
+        tok = parser.peek()
+        if tok.kind == "SEMI":
+            parser.take()
+            continue
         if tok.kind == "END":
             break
-        if tok.kind != "SEMI":
-            raise ParseError("expected ';' or end of input", offset=tok.offset)
+        raise ParseError("expected ';' or end of input", offset=tok.offset)
     for i in range(carrier.count):
         if i not in images:
             raise ParseError(f"missing image for x{i + 1}", offset=len(text))

@@ -501,7 +501,7 @@ INPUT_CHECKS = {
     "laurent-superscript": (["mul", "--poly", "2", "--laurent", "²", "x1", "x1"], "", 2,
                             "ERROR usage: bad --laurent entry '²'; use 1-based indices"),
     "laurent-long": (["mul", "--poly", "2", "--laurent", "0" * 4300 + "1", "x1", "x1"], "", 2,
-                     f"ERROR usage: bad --laurent entry '{'0' * 4300}1'; use 1-based indices"),
+                     "ERROR usage: bad --laurent entry: number with more than 4300 digits"),
     # the file is written first: when it cannot be, nothing else is printed
     "out-directory": (["mul", "--poly", "1", "x1", "x1", "--out", "."], "", 2,
                       "ERROR usage: cannot write --out file .: Is a directory"),

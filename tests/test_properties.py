@@ -341,11 +341,12 @@ def test_print_then_parse_is_the_identity_and_reprints_byte_for_byte(case):
 
 # -- any text: tokens or a ParseError, an element or an LndError ----------------
 
-# pieces of right and wrong text; an exponent is one digit set apart by a
-# space, so no power reaches 10 (unbounded exponents are ROADMAP item 8)
+# pieces of right and wrong text; every '^' is followed by one digit and a
+# space, by "-1 ", or by a non-digit, so no power reaches 10 (unbounded
+# exponents are ROADMAP item 8)
 TEXT_PIECES = ("x1", "x2", "x3", "x12", "x0", "x", "0", "7", "12", "2/3", "1/0", "1/",
                "/", "->", " ", "(", ")", "-", "+", "*", ";", "x²", "٣", "@",
-               "^-1 ", "^") + tuple(f"^{e} " for e in range(10))
+               "^-1 ", "^x1", "^(") + tuple(f"^{e} " for e in range(10))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -18,8 +18,6 @@ from lndcalc import (
     WeylSignature,
     automorphisms,
     invert,
-    standard_system,
-    weitzenboeck_system,
 )
 from oracle_validate import validate as oracle_validate
 from support import MAP_A11, MAP_A20, NAGATA, twisted_unchecked as _twisted
@@ -228,41 +226,3 @@ def test_negative_nilpotence_cap_is_a_usage_error():
         LndSystem([PartialDerivation(0)], _poly_gens(1), nilpotence_cap=-1)
     with pytest.raises(UsageError):
         LndSystem([PartialDerivation(0)], _poly_gens(1), nilpotence_cap=-1, check=False)
-
-
-# -- systems the library builds itself ---------------------------------------
-
-CARRIER_ONES = {
-    "P_3": CommPoly.constant(3, 1),
-    "P_2, unit x1": CommPoly.constant(2, 1, frozenset({0})),
-    "P_2, unit x2": CommPoly.constant(2, 1, frozenset({1})),
-    "A(1,1)": WeylElement.constant(WeylSignature(1, 1), 1),
-    "A(2,0)": WeylElement.constant(WeylSignature(2, 0), 1),
-    "F_2": FreeElement.one(2),
-}
-
-
-def _refusal(build):
-    """None when ``build`` succeeds, else the (class, message) it raised."""
-    try:
-        build()
-    except LndError as exc:
-        return type(exc), str(exc)
-    return None
-
-
-@pytest.mark.parametrize("cap", [-1, 0, 1, 2, 3, 256])
-@pytest.mark.parametrize("name", list(CARRIER_ONES))
-def test_the_trusted_standard_system_refuses_what_validation_refuses(name, cap):
-    one = CARRIER_ONES[name]
-    gens = one.generators()
-    trusted = _refusal(lambda: standard_system(one, cap))
-    validated = _refusal(lambda: LndSystem(
-        [PartialDerivation(i) for i in range(len(gens))], gens, nilpotence_cap=cap))
-    assert trusted == validated
-    assert (trusted is None) == ("unit" not in name and cap > 1)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_the_trusted_weitzenboeck_system_passes_validation(n):
-    weitzenboeck_system(n)._validate()
