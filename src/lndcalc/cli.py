@@ -52,6 +52,7 @@ from .invariants import (
     weitzenboeck_invariants,
 )
 from .parsing import (
+    Carrier,
     CommCarrier,
     FreeCarrier,
     WeylCarrier,
@@ -60,7 +61,7 @@ from .parsing import (
     parse_images,
     parse_list,
 )
-from .projections import NILPOTENCE_CAP, standard_system
+from .projections import NILPOTENCE_CAP, LndSystem, standard_system
 from .weyl import WeylSignature
 
 
@@ -82,7 +83,7 @@ def _parse_laurent(text: str, num_vars: int) -> frozenset[int]:
     return frozenset(mask)
 
 
-def _carrier_from(args) -> CommCarrier | WeylCarrier | FreeCarrier:
+def _carrier_from(args) -> Carrier:
     weyl = args.n is not None or args.m is not None
     poly = args.poly is not None
     free = args.free is not None
@@ -99,6 +100,12 @@ def _carrier_from(args) -> CommCarrier | WeylCarrier | FreeCarrier:
             raise UsageError("--poly needs at least one variable")
         return CommCarrier(args.poly, _parse_laurent(args.laurent, args.poly))
     return WeylCarrier(_signature_from(args))
+
+
+def _carrier_and_system(args) -> tuple[Carrier, LndSystem]:
+    """The carrier of ``args`` and its standard system under ``--cap``."""
+    carrier = _carrier_from(args)
+    return carrier, standard_system(carrier.constant(1), args.cap)
 
 
 def _signature_from(args) -> WeylSignature:
@@ -118,12 +125,11 @@ def _verified_aut(args, flag: str = "aut") -> Automorphism:
 
 
 def _parse_index_list(text: str, length: int) -> tuple[int, ...]:
-    pieces = [p.strip() for p in text.split(",")]
     try:
-        alpha = tuple(int(p) for p in pieces)
-    except ValueError:
+        alpha = tuple(decimal(p.strip()) for p in text.split(","))
+    except ParseError:
         raise UsageError(f"bad multi-index {text!r}") from None
-    if len(alpha) != length or any(e < 0 for e in alpha):
+    if len(alpha) != length:
         raise UsageError(
             f"multi-index {text!r} must have {length} non-negative entries"
         )
@@ -172,16 +178,14 @@ def _cmd_partial(args) -> str:
 
 
 def _cmd_project(args) -> str:
-    carrier = _carrier_from(args)
-    system = standard_system(carrier.constant(1), args.cap)
+    carrier, system = _carrier_and_system(args)
     element = parse_element(args.expr, carrier)
     out = system.phi(element) if args.map == "phi" else system.psi(element)
     return str(out)
 
 
 def _cmd_taylor(args) -> str:
-    carrier = _carrier_from(args)
-    system = standard_system(carrier.constant(1), args.cap)
+    carrier, system = _carrier_and_system(args)
     return str(system.taylor_decompose(parse_element(args.expr, carrier)))
 
 
@@ -228,8 +232,7 @@ def _cmd_apply_series(args) -> str:
 
 
 def _cmd_invariants(args) -> str:
-    carrier = _carrier_from(args)
-    system = standard_system(carrier.constant(1), args.cap)
+    carrier, system = _carrier_and_system(args)
     if args.gens is None:
         gens = [carrier.variable(i) for i in range(carrier.count)]
     else:
@@ -241,14 +244,12 @@ def _cmd_invariants(args) -> str:
 
 
 def _cmd_relation(args) -> str:
-    carrier = _carrier_from(args)
-    system = standard_system(carrier.constant(1), args.cap)
+    carrier, system = _carrier_and_system(args)
     return "true" if system.phi(parse_element(args.expr, carrier)).is_zero() else "false"
 
 
 def _cmd_kernel(args) -> str:
-    carrier = _carrier_from(args)
-    system = standard_system(carrier.constant(1), args.cap)
+    carrier, system = _carrier_and_system(args)
     basis = graded_kernel_oracle(system, args.degree)
     if not basis:
         return "(empty)"

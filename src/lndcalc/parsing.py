@@ -1,4 +1,4 @@
-"""Text input for carrier elements and generator-image lists.
+"""Text input for elements of any carrier and generator-image lists.
 
 Grammar (whitespace insensitive, offsets are 0-based character positions):
 
@@ -90,42 +90,33 @@ def tokenize(text: str) -> list[Token]:
 # -- carriers ------------------------------------------------------------------
 
 
-class CommCarrier:
+class Carrier:
+    """The elements a text names, built from ``one``, the unit of any carrier
+    and context: numbers scale it, x1..xs are its generators."""
+
+    def __init__(self, one):
+        self.constant = one.scale
+        self._gens = one.generators()
+        self.count = len(self._gens)
+
+    def variable(self, i: int):
+        return self._gens[i]
+
+
+class CommCarrier(Carrier):
     def __init__(self, num_vars: int, laurent_mask: frozenset[int] = frozenset()):
-        self.count = num_vars
-        self.laurent_mask = laurent_mask
-
-    def constant(self, value: Fraction) -> CommPoly:
-        return CommPoly.constant(self.count, value, self.laurent_mask)
-
-    def variable(self, i: int) -> CommPoly:
-        return CommPoly.variable(self.count, i, self.laurent_mask)
+        super().__init__(CommPoly.one(num_vars, laurent_mask))
 
 
-class WeylCarrier:
+class WeylCarrier(Carrier):
     def __init__(self, signature: WeylSignature):
+        super().__init__(WeylElement.one(signature))
         self.signature = signature
-        self.count = signature.s
-
-    def constant(self, value: Fraction) -> WeylElement:
-        return WeylElement.constant(self.signature, value)
-
-    def variable(self, i: int) -> WeylElement:
-        return WeylElement.generator(self.signature, i)
 
 
-class FreeCarrier:
+class FreeCarrier(Carrier):
     def __init__(self, num_gens: int):
-        self.count = num_gens
-
-    def constant(self, value: Fraction) -> FreeElement:
-        return FreeElement.constant(self.count, value)
-
-    def variable(self, i: int) -> FreeElement:
-        return FreeElement.generator(self.count, i)
-
-
-Carrier = CommCarrier | WeylCarrier | FreeCarrier
+        super().__init__(FreeElement.one(num_gens))
 
 
 # -- recursive descent ----------------------------------------------------------

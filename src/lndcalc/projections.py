@@ -68,7 +68,7 @@ from .errors import CapExceededError, LndError, SignatureMismatchError, UsageErr
 from .formatting import Scalar, canonical
 from .multiindex import MultiIndex, graded_lex_key, multi_factorial
 from .sparse import SparseElement
-from .weyl import WeylElement, ad, combine_partials
+from .weyl import combine_partials
 
 Element = SparseElement
 
@@ -95,8 +95,8 @@ class PartialDerivation:
 
 
 class InnerDerivation:
-    """ad(u): a -> u*a - a*u for a fixed carrier element u (one-pass
-    ``weyl.ad`` on Weyl elements)."""
+    """ad(u): a -> u*a - a*u for a fixed element u of any carrier, by the
+    element's ``bracket`` (one pass on a Weyl algebra)."""
 
     __slots__ = ("element",)
 
@@ -104,9 +104,7 @@ class InnerDerivation:
         self.element = element
 
     def apply(self, a: Element) -> Element:
-        if isinstance(a, WeylElement):
-            return ad(self.element, a)
-        return self.element * a - a * self.element
+        return self.element.bracket(a)
 
     def __repr__(self) -> str:
         return f"InnerDerivation({self.element!r})"
@@ -115,7 +113,7 @@ class InnerDerivation:
 class CombinationDerivation:
     """A finite combination sum_k c_k * D_k of descriptors.
 
-    Coefficients are rationals or carrier elements acting by left
+    Coefficients are rationals or elements of any carrier acting by left
     multiplication; on a noncommutative carrier they must be central for the
     combination to remain a derivation (checked during system validation).
 
@@ -152,23 +150,24 @@ DerivationDescriptor = PartialDerivation | InnerDerivation | CombinationDerivati
 
 
 def _prepare_partials(parts):
-    """(signature or None, rows, top) for ``weyl.combine_partials``, or None if
-    a part is no partial or its coefficient no scalar or central Weyl element."""
-    sigs = {c.signature for c, _ in parts if isinstance(c, WeylElement)}
-    if len(sigs) > 1 or any(type(d) is not PartialDerivation for _, d in parts):
+    """(context or None, rows, top) for ``weyl.combine_partials``, or None if
+    a part is no partial, a coefficient no scalar or central element, or two
+    coefficients of different contexts; a constant element is a scalar row."""
+    ctxs = {c._ctx for c, _ in parts if not isinstance(c, (int, Fraction))}
+    if len(ctxs) > 1 or any(type(d) is not PartialDerivation for _, d in parts):
         return None
     rows, top = [], 0
     for c, d in parts:
-        if isinstance(c, WeylElement) and c.is_constant():
+        if not isinstance(c, (int, Fraction)) and c.is_constant():
             c = c.constant_term()
-        if isinstance(c, WeylElement) and c.is_central():
+        if isinstance(c, (int, Fraction)):
+            rows.append((d.index, ((None, canonical(c)),)))
+        elif c.is_central():
             rows.append((d.index, tuple(c.terms.items())))
             top = max(top, c.total_degree())
-        elif isinstance(c, (int, Fraction)):
-            rows.append((d.index, ((None, canonical(c)),)))
         else:
             return None
-    return next(iter(sigs), None), tuple(rows), top
+    return next(iter(ctxs), None), tuple(rows), top
 
 
 def _fold(j: int, t: Element, entries) -> dict:

@@ -21,6 +21,7 @@ of testing which carrier they hold.  A carrier supplies the hooks
     _key_degree                   degree of a key
     _monomial_text, _sort_key     printed form and printing order
     partial, is_central, __mul__  the calculus, the centre and the product
+    bracket                       [u, a] = u*a - a*u (default: both products)
     algebra, _kind                names of the algebra in messages
 
 The defaults below are those of exponent-vector keys (commutative and
@@ -241,6 +242,10 @@ class SparseElement:
                 # distinct monomials stay distinct after lowering exponent i
                 out[exps[:i] + (e - 1,) + exps[i + 1:]] = canonical(c * e)
         return self._like(out)
+
+    def bracket(self, a):
+        """The commutator [self, a] = self*a - a*self."""
+        return self * a - a * self
 
     def multi_partial(self, alpha: MultiIndex):
         """Apply d^alpha = prod partial_i^alpha_i."""

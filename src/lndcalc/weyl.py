@@ -104,6 +104,10 @@ class WeylElement(SparseElement):
             return self.scale(other)
         return weyl_mul(self, other)
 
+    def bracket(self, a):
+        """[self, a] in one pass (``ad``)."""
+        return ad(self, a)
+
 
 @functools.lru_cache(maxsize=4096)
 def _swap_rows(p: MultiIndex, q: MultiIndex, s: int) -> tuple[tuple[MultiIndex, int], ...]:

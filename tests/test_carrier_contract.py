@@ -4,9 +4,11 @@
 ``FreeElement`` share one sparse exact-coefficient contract: the
 constructors, ``+ - neg scale`` against a plain-``Fraction`` reference on
 the term dicts, ``==``/``hash`` across ``int`` and equal ``Fraction``
-coefficients, ``multi_partial`` against repeated ``partial``, and the
-printed form parsing back to an equal element.  Each carrier is reached
-through its own public constructor names only.
+coefficients, ``multi_partial`` against repeated ``partial``, ``bracket``
+against the two products, and the printed form parsing back to an equal
+element, through the named parser carrier and through ``Carrier`` of the
+unit alike.  Each carrier is reached through its own public constructor
+names only.
 """
 
 from fractions import Fraction
@@ -15,10 +17,19 @@ from random import Random
 
 import pytest
 
-from lndcalc import CommPoly, FreeElement, WeylElement, WeylSignature
-from lndcalc.parsing import CommCarrier, FreeCarrier, WeylCarrier, parse_element
+from lndcalc import (
+    CommPoly,
+    FreeElement,
+    ParseError,
+    SignatureMismatchError,
+    WeylElement,
+    WeylSignature,
+)
+from lndcalc.parsing import Carrier, CommCarrier, FreeCarrier, WeylCarrier, parse_element
+from lndcalc.weyl import ad
 
-from support import is_canonical
+from oracle_weyl import oracle_mul
+from support import is_canonical, random_weyl
 
 
 class Spec:
@@ -215,3 +226,51 @@ def test_printed_form_parses_back(spec, seed):
         text = str(x)
         back = parse_element(text, spec.carrier)
         assert back == x and str(back) == text
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("spec", SPECS, ids=_ids)
+def test_bracket_is_the_commutator_of_the_two_products(spec, seed):
+    rng = Random(seed)
+    u, a = spec.random(rng), spec.random(rng)
+    for x, y in ((u, a), (a, u), (u, spec.gen(0)), (spec.constant(3), a), (u, spec.zero())):
+        got = x.bracket(y)
+        assert type(got) is spec.cls and got == x * y - y * x
+        _assert_canonical(got)
+    assert u.bracket(u).is_zero() and u.bracket(a) == -a.bracket(u)
+    other = next(t for t in SPECS if t.cls is not spec.cls).one()
+    with pytest.raises(SignatureMismatchError):
+        u.bracket(other)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_weyl_bracket_is_ad_and_the_difference_of_the_oracle_products(seed):
+    rng = Random(seed)
+    for sig in (WeylSignature(1, 1), WeylSignature(2, 1), WeylSignature(0, 2)):
+        u, a = random_weyl(rng, sig, 3, 4), random_weyl(rng, sig, 3, 4)
+        got = u.bracket(a)
+        assert got == ad(u, a) == oracle_mul(u, a) - oracle_mul(a, u)
+        _assert_canonical(got)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("spec", SPECS, ids=_ids)
+def test_each_named_carrier_parses_as_the_carrier_of_its_unit(spec, seed):
+    rng = Random(seed)
+    plain = Carrier(spec.one())
+    assert spec.carrier.count == plain.count == spec.count
+    assert spec.carrier.constant(Fraction(-3, 2)) == plain.constant(Fraction(-3, 2)) \
+        == spec.constant(Fraction(-3, 2))
+    for i in range(spec.count):
+        assert spec.carrier.variable(i) == plain.variable(i) == spec.gen(i)
+    x = spec.random(rng)
+    texts = [str(x), f"({x})*x1 - 2/3", f"x{spec.count}^2 + -(x1 + 1/2)^3"]
+    for text in texts:
+        got = parse_element(text, spec.carrier)
+        assert type(got) is spec.cls and got == parse_element(text, plain)
+    errors = []
+    for carrier in (spec.carrier, plain):
+        with pytest.raises(ParseError) as exc_info:
+            parse_element(f"x1 + x{spec.count + 1}", carrier)
+        errors.append(str(exc_info.value))
+    assert errors[0] == errors[1]

@@ -446,6 +446,17 @@ INPUT_CHECKS = {
                     "ERROR usage: the signature needs at least one generator (--n/--m)"),
     "multi-index": (["map-series", "--n", "0", "--m", "1", "--max-order", "0"], "a : 1\n", 2,
                     "ERROR usage: bad multi-index 'a'"),
+    # multi-index entries are decimal digits, as in the tokenizer and --laurent
+    "multi-index-plus": (["map-series", "--n", "0", "--m", "1", "--max-order", "1"],
+                         "0 : 1\n+1 : x1 + 1\n", 2, "ERROR usage: bad multi-index '+1'"),
+    "multi-index-minus": (["map-series", "--n", "0", "--m", "1", "--max-order", "1"],
+                          "0 : 1\n-1 : x1 + 1\n", 2, "ERROR usage: bad multi-index '-1'"),
+    "multi-index-underscore": (["map-series", "--n", "0", "--m", "1", "--max-order", "1"],
+                               "0 : 1\n1_0 : x1\n", 2, "ERROR usage: bad multi-index '1_0'"),
+    "multi-index-arabic-underscore": (["map-series", "--n", "0", "--m", "1", "--max-order", "1"],
+                                      "٠_1 : 1\n", 2, "ERROR usage: bad multi-index '٠_1'"),
+    "series-plus": (["apply-series", "--n", "0", "--m", "1", "x1"], "d^(+0): 1\n", 2,
+                    "ERROR usage: bad multi-index '+0'"),
     "table-colon": (["map-series", "--n", "0", "--m", "1", "--max-order", "0"], "0 1\n", 2,
                     "ERROR usage: table line '0 1' is missing ':'"),
     "table-twice": (["map-series", "--n", "0", "--m", "1", "--max-order", "1"],

@@ -15,8 +15,11 @@ import pytest
 from lndcalc import (
     CapExceededError,
     CombinationDerivation,
+    CommPoly,
+    FreeElement,
     InnerDerivation,
     PartialDerivation,
+    SignatureMismatchError,
     WeylElement,
     WeylSignature,
     twisted_partials,
@@ -27,6 +30,8 @@ from support import (
     MAP_A11,
     NAGATA,
     is_canonical,
+    random_comm,
+    random_free,
     random_tame_poly,
     random_weyl,
     verified_map,
@@ -44,16 +49,19 @@ def _per_piece_oracle(combo, a):
             piece = deriv.apply(a)
         if isinstance(coeff, WeylElement):
             terms = oracle_mul_terms(coeff, piece)
-        else:
+        else:  # a scalar, or a constant element of another carrier
+            if not isinstance(coeff, (int, Fraction)):
+                assert coeff.is_constant()
+                coeff = coeff.constant_term()
             terms = {e: Fraction(coeff) * c for e, c in piece.terms.items()}
         for e, c in terms.items():
             total[e] = total.get(e, 0) + c
-    return WeylElement(a.signature, total)
+    return a.like(total)
 
 
 def _per_piece(combo, a):
     """The per-piece path of the library: partial, product, partial sum."""
-    total = WeylElement.zero(a.signature)
+    total = a.scale(0)
     for coeff, deriv in combo.parts:
         total = total + coeff * deriv.apply(a)
     return total
@@ -115,6 +123,33 @@ def test_scalar_and_central_coefficients_equal_the_per_piece_sum():
             got = combo.apply(a)
             assert got == _per_piece_oracle(combo, a) == _per_piece(combo, a)
             assert all(is_canonical(c) for c in got.terms.values())
+
+
+@pytest.mark.parametrize("carrier", ["P_3", "F_2"])
+def test_constant_elements_of_other_carriers_are_scalar_rows(carrier):
+    rng = Random(935)
+    if carrier == "P_3":
+        one, draw = CommPoly.one(3), lambda: random_comm(rng, 3, 4, 3)
+    else:
+        one, draw = FreeElement.one(2), lambda: random_free(rng, 2, 4, 3)
+    coeffs = [one.scale(Fraction(5, 2)), one.scale(-3), one.scale(0), one, 2, Fraction(-1, 3)]
+    for _ in range(20):
+        parts = [(rng.choice(coeffs), PartialDerivation(rng.randrange(len(one.generators()))))
+                 for _ in range(rng.randint(1, 4))]
+        combo = CombinationDerivation(parts)
+        ctx, rows, top = combo._fused
+        assert ctx in (None, one._ctx) and top == 0
+        assert all(pairs[0][0] is None and len(pairs) == 1 for _, pairs in rows)
+        for _ in range(3):
+            a = draw()
+            got = combo.apply(a)
+            assert type(got) is type(one)
+            assert got == _per_piece_oracle(combo, a) == _per_piece(combo, a)
+            assert all(is_canonical(c) for c in got.terms.values())
+    # on A(n, m) the other carrier's constant is not fused, and its product refuses
+    combo = CombinationDerivation([(one.scale(2), PartialDerivation(0))])
+    with pytest.raises(SignatureMismatchError):
+        combo.apply(WeylElement.generator(WeylSignature(0, 3), 0))
 
 
 def test_non_central_coefficients_are_not_fused():
